@@ -312,6 +312,18 @@ def _make_cache(options, default_on: bool):
     return ResultCache(options.cache_dir or DEFAULT_CACHE_DIR)
 
 
+def _lookup_benchmarks(names):
+    """The named benchmarks, or ``None`` after printing a one-line error
+    for the first unknown name (the caller exits 2)."""
+    from .bench import get_benchmark
+
+    try:
+        return [get_benchmark(name) for name in names]
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return None
+
+
 def main(argv: list[str] | None = None) -> int:
     options = _build_parser().parse_args(argv)
     command = options.command
@@ -359,14 +371,15 @@ def main(argv: list[str] | None = None) -> int:
                     f"{options.baseline}"
                 )
             return 0
-        from .bench import get_benchmark
         from .experiments import run_experiment
         from .experiments.report import format_table
 
-        name = options.args[0]
+        benchmarks = _lookup_benchmarks(options.args[:1])
+        if benchmarks is None:
+            return 2
         runs = int(options.args[1]) if len(options.args) > 1 else options.runs
         result = run_experiment(
-            get_benchmark(name), seed=options.seed, runs=runs, jobs=options.jobs
+            benchmarks[0], seed=options.seed, runs=runs, jobs=options.jobs
         )
         rows = []
         for i, (d, r, e) in enumerate(
@@ -389,15 +402,17 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if command == "sweep":
-        from .bench import all_benchmarks, get_benchmark
+        from .bench import all_benchmarks
         from .experiments.parallel import run_sweep
         from .experiments.report import format_sweep
 
         benchmarks = (
-            [get_benchmark(name) for name in options.args]
+            _lookup_benchmarks(options.args)
             if options.args
             else list(all_benchmarks())
         )
+        if benchmarks is None:
+            return 2
         telemetry = _make_telemetry(options)
         cache = _make_cache(options, default_on=True)
         # The JIT artifact cache lives next to the result cache; workers

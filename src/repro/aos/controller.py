@@ -38,6 +38,10 @@ class AdaptiveController:
         self.decisions: list[tuple[str, int, int]] = []  # (method, at_sample, level)
         interpreter.sampler.add_listener(self)
 
+    def reset(self) -> None:
+        """Back to the just-attached state (the run restarts from scratch)."""
+        self.decisions = []
+
     def on_sample(self, method: str, clock: float, count: int) -> None:
         if method in self.exclude:
             return
@@ -57,6 +61,10 @@ class PairPlanController:
         self.strategy = strategy
         self._next_pair_index: dict[str, int] = {}
         interpreter.sampler.add_listener(self)
+
+    def reset(self) -> None:
+        """Back to the just-attached state (the run restarts from scratch)."""
+        self._next_pair_index = {}
 
     def on_sample(self, method: str, clock: float, count: int) -> None:
         plan = self.strategy.plan_for(method)

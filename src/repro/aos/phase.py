@@ -99,11 +99,16 @@ class PhaseAdaptiveController:
         self.model = CostBenefitModel(
             interpreter.jit, interpreter.config.sample_interval
         )
-        self.detector = PhaseDetector(window_samples, similarity_threshold)
+        self._detector_args = (window_samples, similarity_threshold)
+        self.reset()
+        interpreter.sampler.add_listener(self)
+
+    def reset(self) -> None:
+        """Back to the just-attached state (the run restarts from scratch)."""
+        self.detector = PhaseDetector(*self._detector_args)
         self.decisions: list[tuple[str, int, int]] = []
         #: Sample counts since the current phase began (history discount).
         self._phase_counts: dict[str, int] = {}
-        interpreter.sampler.add_listener(self)
 
     def on_sample(self, method: str, clock: float, count: int) -> None:
         if self.detector.observe(method, clock):

@@ -17,6 +17,7 @@ each method's per-run work observed in history.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from ..vm.config import OPT_LEVELS
 from ..vm.opt.jit import JITCompiler
@@ -107,15 +108,32 @@ class ProfileRepository:
         return self._run_count
 
     # -- plan evaluation ---------------------------------------------------
-    def _plan_cost(self, method: str, plan: tuple[RecompilePair, ...], work: float) -> float:
-        """Total virtual time for *method* doing *work* under *plan*.
+    def _method_tables(self, method: str) -> tuple[dict, dict]:
+        """*method*'s speed factor and compile cost per level, looked up
+        once per :meth:`strategy` instead of once per plan evaluation."""
+        jit = self.jit
+        return (
+            {lvl: jit.speed_factor(method, lvl) for lvl in OPT_LEVELS},
+            {lvl: jit.compile_cost(method, lvl) for lvl in OPT_LEVELS},
+        )
 
-        Samples accrue at one per ``sample_interval`` cycles of application
-        execution (compile time does not produce samples, matching the
-        sampler's compiler-thread behaviour).
+    def _plan_segments(
+        self, plan: tuple[RecompilePair, ...], tables: tuple[dict, dict]
+    ) -> tuple[list[tuple[float, float, float, float]], tuple]:
+        """The work-independent part of a plan's cost curve.
+
+        One segment ``(done, reach, total, s)`` per pair: before the
+        pair's threshold the method has done *done* work at total time
+        *total* and runs at speed *s*; a method whose work is at most
+        *reach* finishes inside the segment. Then the ``(done, total, s)``
+        tail past the last pair. Samples accrue at one per
+        ``sample_interval`` cycles of application execution (compile time
+        does not produce samples, matching the sampler's compiler-thread
+        behaviour).
         """
+        speed, compile_cost = tables
         interval = self.sample_interval
-        speed = self.jit.speed_factor
+        segments = []
         exec_time = 0.0
         total = 0.0
         done = 0.0
@@ -123,24 +141,44 @@ class ProfileRepository:
         for pair in plan:
             threshold_time = pair.at_sample * interval
             dt = threshold_time - exec_time
-            s = speed(method, current)
+            s = speed[current]
             dw = dt / s
-            if done + dw >= work:
-                return total + (work - done) * s
+            segments.append((done, done + dw, total, s))
             done += dw
             exec_time = threshold_time
             total += dt
-            total += self.jit.compile_cost(method, pair.level)
+            total += compile_cost[pair.level]
             current = pair.level
-        return total + (work - done) * speed(method, current)
+        return segments, (done, total, speed[current])
+
+    def _plan_costs(self, segments, tail, works) -> list[float]:
+        """Total virtual time under one plan for each of *works*."""
+        costs = []
+        for work in works:
+            for done, reach, total, s in segments:
+                if reach >= work:
+                    break
+            else:
+                done, total, s = tail
+            costs.append(total + (work - done) * s)
+        return costs
+
+    def _plan_cost(
+        self, method: str, plan: tuple[RecompilePair, ...], work: float
+    ) -> float:
+        """Total virtual time for *method* doing *work* under *plan*."""
+        segments, tail = self._plan_segments(plan, self._method_tables(method))
+        return self._plan_costs(segments, tail, (work,))[0]
 
     def _expected_cost(
-        self, method: str, plan: tuple[RecompilePair, ...], hist: _WorkHistogram
+        self,
+        plan: tuple[RecompilePair, ...],
+        hist: _WorkHistogram,
+        tables: tuple[dict, dict],
     ) -> float:
-        return sum(
-            w * self._plan_cost(method, plan, value)
-            for value, w in zip(hist.values, hist.weights)
-        )
+        segments, tail = self._plan_segments(plan, tables)
+        costs = self._plan_costs(segments, tail, hist.values)
+        return sum(map(mul, hist.weights, costs))
 
     def _candidate_plans(self) -> list[tuple[RecompilePair, ...]]:
         plans: list[tuple[RecompilePair, ...]] = [()]
@@ -178,12 +216,13 @@ class ProfileRepository:
             if max(works, default=0.0) <= min_compile * size:
                 continue
             hist = _histogram(works, HISTOGRAM_BUCKETS)
+            tables = self._method_tables(method)
             best_plan: tuple[RecompilePair, ...] = ()
-            best_cost = self._expected_cost(method, (), hist)
+            best_cost = self._expected_cost((), hist, tables)
             for plan in candidates:
                 if not plan:
                     continue
-                cost = self._expected_cost(method, plan, hist)
+                cost = self._expected_cost(plan, hist, tables)
                 if cost < best_cost - 1e-9:
                     best_cost = cost
                     best_plan = plan

@@ -105,10 +105,10 @@ class EvolvableVM:
         self.app = app
         self.config = config
         #: Execution-engine knob, forwarded to every Interpreter this VM
-        #: constructs ("auto"/"compiled"/"fast"/"reference"). Note the
-        #: adaptive controller attaches sampler listeners, so "auto" runs
-        #: resolve to the fast engine; the closure-compiled tier serves
-        #: listener-free replay/serving paths.
+        #: constructs ("auto"/"compiled"/"fast"/"reference"). "auto"
+        #: runs on the closure-compiled tier with the adaptive
+        #: controller attached (blocks are bounded by the next sampler
+        #: tick) and falls back to the fast engine per run.
         self.engine = engine
         self.jit = jit if jit is not None else JITCompiler(app.program, config)
         self.cost_benefit = CostBenefitModel(self.jit, config.sample_interval)

@@ -276,7 +276,8 @@ def execute_cell(spec: CellSpec) -> dict:
                 outcome = evolve_vm.run(cmdline, rng_seed=run_index)
             elif scenario == "phase":
                 outcome = _run_phase(
-                    app, cmdline, spec.config, jit, rng_seed=run_index
+                    app, cmdline, spec.config, jit, rng_seed=run_index,
+                    engine=spec.engine,
                 )
             else:
                 raise ValueError(f"unknown scenario {scenario!r}")

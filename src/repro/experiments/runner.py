@@ -100,6 +100,7 @@ def run_experiment(
     sequence: list[int] | None = None,
     drift: DriftSpec | None = None,
     jobs: int = 1,
+    engine: str = "auto",
 ) -> ExperimentResult:
     """Run the full §V-B protocol for one benchmark.
 
@@ -112,7 +113,9 @@ def run_experiment(
 
     *jobs* > 1 delegates to the parallel engine: scenarios (and run
     ranges of the stateless ones) execute as independent worker cells,
-    with bit-identical outcomes.
+    with bit-identical outcomes. *engine* picks the interpreter engine of
+    every run (see :class:`~repro.vm.interpreter.Interpreter`); outcomes
+    are bit-identical across engines.
     """
     if sequence is not None and drift is not None:
         raise ValueError("pass either an explicit sequence or a drift spec")
@@ -130,6 +133,7 @@ def run_experiment(
             threshold=threshold,
             tree_params=tree_params,
             drift=drift,
+            engine=engine,
         )
     app, inputs = bench.build(seed=seed)
     n_runs = runs if runs is not None else bench.runs
@@ -150,7 +154,7 @@ def run_experiment(
         drift_spec=drift,
     )
 
-    evolve_kwargs: dict = {"config": config, "jit": jit}
+    evolve_kwargs: dict = {"config": config, "jit": jit, "engine": engine}
     if gamma is not None:
         evolve_kwargs["gamma"] = gamma
     if threshold is not None:
@@ -158,7 +162,7 @@ def run_experiment(
     if tree_params is not None:
         evolve_kwargs["tree_params"] = tree_params
     evolve_vm = EvolvableVM(app, **evolve_kwargs)
-    rep_vm = RepVM(app, config=config, jit=jit)
+    rep_vm = RepVM(app, config=config, jit=jit, engine=engine)
     result.evolve_vm = evolve_vm
     result.rep_vm = rep_vm
 
@@ -166,7 +170,10 @@ def run_experiment(
         cmdline = inputs[input_index].cmdline
         if "default" in scenarios:
             result.default.append(
-                run_default(app, cmdline, config=config, jit=jit, rng_seed=run_index)
+                run_default(
+                    app, cmdline, config=config, jit=jit,
+                    rng_seed=run_index, engine=engine,
+                )
             )
         if "rep" in scenarios:
             result.rep.append(rep_vm.run(cmdline, rng_seed=run_index))
@@ -174,7 +181,10 @@ def run_experiment(
             result.evolve.append(evolve_vm.run(cmdline, rng_seed=run_index))
         if "phase" in scenarios:
             result.phase.append(
-                _run_phase(app, cmdline, config, jit, rng_seed=run_index)
+                _run_phase(
+                    app, cmdline, config, jit, rng_seed=run_index,
+                    engine=engine,
+                )
             )
     if "evolve" in scenarios:
         result.evolve_summary = dict(evolve_vm.models.summary())
@@ -182,7 +192,9 @@ def run_experiment(
     return result
 
 
-def _run_phase(app, cmdline, config, jit, rng_seed: int) -> RunOutcome:
+def _run_phase(
+    app, cmdline, config, jit, rng_seed: int, engine: str
+) -> RunOutcome:
     """One run under the phase-based adaptive comparator."""
     tokens = app.split_cmdline(cmdline)
     cmd_str = cmdline if isinstance(cmdline, str) else " ".join(cmdline)
@@ -192,7 +204,9 @@ def _run_phase(app, cmdline, config, jit, rng_seed: int) -> RunOutcome:
         if translator is not None
         else FeatureVector()
     )
-    interp = Interpreter(app.program, config=config, rng_seed=rng_seed, jit=jit)
+    interp = Interpreter(
+        app.program, config=config, rng_seed=rng_seed, jit=jit, engine=engine
+    )
     PhaseAdaptiveController(interp)
     profile = interp.run(app.entry_args(tokens, fvector))
     return RunOutcome(

@@ -13,9 +13,11 @@ single Python function that executes the method natively:
 - back-edges become ``while True:`` loops with ``continue``/``break``;
 - virtual-clock accounting is batched per basic block into the exact
   left-associative addition chains the reference loop performs
-  instruction by instruction (``clock = clock + c0 + c1 + ...``), with
-  per-instruction costs embedded as ``repr``-round-tripped float
-  literals — bit-identical to ``cost = work * speed`` at runtime.
+  instruction by instruction (``clock + _k1 + _k2 + ...``), where each
+  per-weight cost local ``_k{w} = w * speed`` is the same float as the
+  reference's ``work * speed``. ``speed`` is read at run time from the
+  method's state (``vm.states[name].compiled.speed_factor``), so one
+  generated function serves every tier whose code it matches.
 
 Exactness rules the emitter obeys (the same arguments as
 :mod:`repro.vm.fastpath`, taken further):
@@ -23,21 +25,31 @@ Exactness rules the emitter obeys (the same arguments as
 1. **Accounting chains.** ``clock += a; clock += b`` is the same float
    computation as ``clock = clock + a + b`` (left-associative, same
    operand order). Chains never re-associate and never pre-fold partial
-   sums — CPython's peephole only folds *adjacent literal pairs*, which
-   ``clock + 1.0 + 2.0`` does not contain.
-2. **Sampler ticks.** With no listeners attached (a run-level capability
-   requirement), ``Sampler.advance`` batches arbitrarily many crossed
-   ticks under one method name. Ticks therefore only need a check at
-   *method transitions* — before a CALL dispatch (caller name), at
-   callee entry after the CALL cost (callee name, done by the runtime
-   dispatcher), after a call returns (caller name), and before the RET
-   cost (callee name) — everywhere else attribution is unchanged by
-   batching.
+   sums.
+2. **Tick-exact blocks.** Each block flush computes
+   ``_nc = clock + chain`` and commits the whole batch only when
+   ``_nc < _lim``: costs are positive, so no intermediate clock crossed
+   a tick either. ``_lim`` is the sampler's next tick when listeners are
+   attached, and infinity otherwise (with no listener, ``advance``
+   batches arbitrarily many crossed ticks under one name, so ticks only
+   need a check at method transitions: before a CALL dispatch, at callee
+   entry after the CALL cost, after a call returns, and before the RET
+   cost). Otherwise the block calls the shared ``_slow`` helper, which
+   replays the block's accounting one instruction at a time exactly like
+   the reference epilogue: advance the sampler, apply queued recompiles,
+   re-read the speed. Deferring the accounting past the block's semantic
+   operations is exact because no pure operation observes the clock or
+   the speed; ``INTRIN`` does (it folds ``gc_cycles / speed`` into its
+   work), so it always starts a block. ``speed`` and ``_lim`` are
+   re-read after every slow block and every call return, and the tick
+   checks after a CALL cost and a call return apply queued recompiles
+   (OSR-lite: every active frame of a method runs at its state's speed).
 3. **Effect order.** Semantic operations are emitted strictly in
    bytecode order; only pure accounting is deferred. A raising
    instruction therefore observes exactly the prints/heap effects the
    reference produced, which is all the engine-equivalence oracle
-   compares on fault paths.
+   compares on fault paths (clocks, samples and listener state of a
+   faulting run are unspecified).
 4. **Fuel.** A soft-limit guard (``executed >= vm.fuel - margin`` with
    ``margin = len(code) + 2``) at function entry, every back-edge, and
    after every call return proves no instruction with ordinal > fuel
@@ -46,9 +58,12 @@ Exactness rules the emitter obeys (the same arguments as
    exact.
 
 Shapes the emitter cannot structure (irreducible control flow,
-cross-loop jumps, non-innermost breaks — none of which the MiniLang
-compiler or the optimization passes currently produce) raise
-:class:`UnsupportedShape`; the runtime falls back to the fast engine.
+cross-loop jumps, non-innermost breaks, jumps that escape the enclosing
+construct) raise :class:`UnsupportedShape`; the runtime falls back to
+the fast engine. The MiniLang compiler and the optimization passes do
+not produce them for the shipped benchmarks, but the differential fuzz
+generator's programs do (for instance "jump escapes range" and
+"backward jump to non-header"), so the fallback is a live path.
 """
 
 from __future__ import annotations
@@ -61,13 +76,18 @@ from .verifier import stack_depths
 
 #: Bump when the shape of generated source changes; part of the source
 #: cache key so stale generated code can never be resurrected.
-CLOSURE_SCHEMA_VERSION = 1
+CLOSURE_SCHEMA_VERSION = 2
 
 _JUMPS = (Op.JMP, Op.JZ, Op.JNZ)
 _CMP_EXPR = {
     Op.LT: "<", Op.LE: "<=", Op.GT: ">", Op.GE: ">=", Op.EQ: "==", Op.NE: "!=",
 }
 _ARITH_EXPR = {Op.ADD: "+", Op.SUB: "-", Op.MUL: "*"}
+
+
+#: Placeholder line for the "re-read the speed" statement; filled in once
+#: the function's set of cost weights is known.
+_RELOAD = "\0reload"
 
 
 class UnsupportedShape(Exception):
@@ -90,12 +110,11 @@ def intrinsic_names(code) -> tuple[str, ...]:
 
 
 class _Emitter:
-    def __init__(self, name, code, num_params, num_locals, speed):
+    def __init__(self, name, code, num_params, num_locals):
         self.name = name
         self.code = code
         self.num_params = num_params
         self.num_locals = num_locals
-        self.speed = speed
         self.lines: list[str] = []
         self.indent = 2
         # Pending per-block accounting: cost terms (strings), work terms,
@@ -103,6 +122,8 @@ class _Emitter:
         self.costs: list[str] = []
         self.works: list[str] = []
         self.count = 0
+        # Base-cost weights with a ``_k{w}`` cost local.
+        self.weights: set[int] = set()
         self.scratch = 0
         self.loop_stack: list[tuple[int, int]] = []  # (header, exit)
         try:
@@ -147,8 +168,12 @@ class _Emitter:
     def line(self, text: str):
         self.lines.append(" " * (4 * self.indent) + text)
 
+    def cost_local(self, work: int) -> str:
+        self.weights.add(work)
+        return f"_k{work}"
+
     def add_cost(self, work: int):
-        self.costs.append(repr(work * self.speed))
+        self.costs.append(self.cost_local(work))
         self.works.append(repr(work))
         self.count += 1
 
@@ -156,10 +181,19 @@ class _Emitter:
         if not self.count:
             return
         chain = " + ".join(self.costs)
-        self.line(f"clock = clock + {chain}")
-        self.line(f"mcycles = mcycles + {chain}")
-        self.line(f"mwork = mwork + {' + '.join(self.works)}")
-        self.line(f"executed = executed + {self.count}")
+        works = " + ".join(self.works)
+        self.line(f"_nc = clock + {chain}")
+        self.line("if _nc < _lim:")
+        self.line("    clock = _nc")
+        self.line(f"    mcycles = mcycles + {chain}")
+        self.line(f"    mwork = mwork + {works}")
+        self.line(f"    executed = executed + {self.count}")
+        self.line("else:")
+        self.line(
+            f"    clock, mcycles, mwork, executed = _slow(vm, _st, {self.name!r}, "
+            f"clock, mcycles, mwork, executed, speed, ({', '.join(self.works)},))"
+        )
+        self.line("    " + _RELOAD)
         self.costs = []
         self.works = []
         self.count = 0
@@ -167,6 +201,14 @@ class _Emitter:
     def tick_check(self):
         self.line("if clock >= _sampler._next_tick:")
         self.line(f"    _adv(clock, {self.name!r})")
+
+    def reload_source(self) -> str:
+        """The statement that re-reads the speed, its cost locals and
+        ``_lim`` (after a slow block or a call return)."""
+        parts = ["speed = _st.compiled.speed_factor"]
+        parts.extend(f"_k{w} = {w} * speed" for w in sorted(self.weights))
+        parts.append("_lim = _sampler._next_tick if _watch else _INF")
+        return "; ".join(parts)
 
     def fuel_guard(self):
         self.line("if executed >= _fs:")
@@ -190,6 +232,8 @@ class _Emitter:
             "    _sampler = vm.sampler",
             "    _adv = vm.adv",
             "    _ctx = vm.ctx",
+            "    _watch = vm.watch",
+            f"    _st = vm.states[{self.name!r}]",
             f"    _fs = vm.fuel - {len(self.code) + 2}",
             "    if executed >= _fs:",
             "        raise _BAIL",
@@ -201,11 +245,13 @@ class _Emitter:
             [
                 f"    mcycles = _mc.get({self.name!r}, 0.0)",
                 f"    mwork = _mw.get({self.name!r}, 0.0)",
+                "    " + _RELOAD,
                 "    try:",
             ]
         )
         self.emit_seq(0, len(self.code))
         self.flush()
+        reload = self.reload_source()
         epilogue = [
             "    except (_EE, _BAIL):",
             "        raise",
@@ -214,7 +260,11 @@ class _Emitter:
             f"        raise _EE('runtime fault: ' + str(_exc), "
             f"method={self.name!r}) from _exc",
         ]
-        return "\n".join(prologue + self.lines + epilogue) + "\n"
+        lines = [
+            text.replace(_RELOAD, reload)
+            for text in prologue + self.lines + epilogue
+        ]
+        return "\n".join(lines) + "\n"
 
     def emit_seq(self, lo: int, hi: int, skip_header_at: int = -1):
         emitted = len(self.lines)
@@ -390,7 +440,7 @@ class _Emitter:
         if op == Op.RET:
             self.flush()
             self.tick_check()
-            ret_cost = repr(BASE_COST[Op.RET] * self.speed)
+            ret_cost = self.cost_local(BASE_COST[Op.RET])
             self.line(f"clock = clock + {ret_cost}")
             self.line(f"_mc[{name!r}] = mcycles + {ret_cost}")
             self.line(f"_mw[{name!r}] = mwork + {BASE_COST[Op.RET]}")
@@ -412,7 +462,11 @@ class _Emitter:
             )
             self.line(f"mcycles = _mc[{name!r}]")
             self.line(f"mwork = _mw[{name!r}]")
-            self.tick_check()
+            # The callee may have recompiled this method (its speed) and
+            # moved the next tick; a tick here may apply recompiles too.
+            self.line("if clock >= _sampler._next_tick:")
+            self.line(f"    clock = _tick(vm, clock, {name!r})")
+            self.line(_RELOAD)
             self.fuel_guard()
             return pc + 1, False
 
@@ -421,6 +475,9 @@ class _Emitter:
             args = ", ".join(t(d - argc + i) for i in range(argc))
             tup = f"({args},)" if argc else "()"
             safe = re.sub(r"[^0-9A-Za-z_]", "_", intr)
+            # INTRIN starts a block: its GC fold reads the speed, which a
+            # tick inside the preceding instructions may have changed.
+            self.flush()
             self.line(f"{t(d - argc)} = _in_{safe}(_ctx, {tup})")
             w = self._next_scratch()
             self.line(f"{w} = {BASE_COST[Op.INTRIN]}")
@@ -428,9 +485,9 @@ class _Emitter:
             self.line(f"    {w} = {w} + _ctx.burned")
             self.line("    _ctx.burned = 0.0")
             self.line("if _ctx.gc_cycles:")
-            self.line(f"    {w} = {w} + _ctx.gc_cycles / {self.speed!r}")
+            self.line(f"    {w} = {w} + _ctx.gc_cycles / speed")
             self.line("    _ctx.gc_cycles = 0.0")
-            self.costs.append(f"{w} * {self.speed!r}")
+            self.costs.append(f"{w} * speed")
             self.works.append(w)
             self.count += 1
             return pc + 1, False
@@ -501,12 +558,11 @@ def emit_closure_source(
     code,
     num_params: int,
     num_locals: int,
-    speed_factor: float,
 ) -> str:
     """Generate the Python source of one method's compiled closure.
 
     Raises :class:`UnsupportedShape` when the control flow cannot be
     structured; callers fall back to the fast engine.
     """
-    emitter = _Emitter(method_name, code, num_params, num_locals, speed_factor)
+    emitter = _Emitter(method_name, code, num_params, num_locals)
     return emitter.emit_function()

@@ -10,22 +10,25 @@ all or must route to the fast/reference engines.
 Architecture of one compiled run:
 
 - :func:`resolve_compiled` is the run-level capability check. It refuses
-  runs a closure cannot model exactly: attached sample listeners (they
-  can observably act between any two instructions), call-depth limits
-  beyond what the host's recursion stack can mirror, or any method
-  reachable in the static call graph whose baseline artifact the emitter
-  cannot structure.
+  runs a closure cannot model exactly: a sample listener without a
+  ``reset()`` (a bailout could not replay it), call-depth limits beyond
+  what the host's recursion stack can mirror, or any method reachable in
+  the static call graph whose baseline artifact the emitter cannot
+  structure.
 - :func:`run_compiled` drives the entry closure. Closures call each
   other through :func:`_invoke`, which reproduces the reference CALL
   protocol exactly: depth check, lazy method materialization (charging
   compile cycles), recompile-queue drain, invocation count, CALL cost at
-  the callee's speed, and a sampler check under the callee's name.
+  the callee's speed, and a sampler check under the callee's name that
+  applies any recompiles its listeners queue. Blocks whose accounting
+  crosses a sampler tick replay it per instruction in :func:`_slow`
+  (see rule 2 of :mod:`repro.vm.closure_emit`).
 - Anything discovered mid-run that the tier cannot handle exactly —
   fuel-budget proximity, a method recompiled into an unsupported shape,
   host recursion exhaustion — raises the internal :class:`_Bailout`.
-  The interpreter then discards the partial run wholesale and *replays*
-  on the fast engine from a fresh state (same seed, same shared JIT),
-  which is per-instruction exact. Bailouts change wall-clock only,
+  The interpreter then resets its run state and every listener in place
+  and *replays* on the fast engine from scratch (same seed, same shared
+  JIT), which is per-instruction exact. Bailouts change wall-clock only,
   never observable results.
 
 Exactness contract (enforced by ``tests/test_engine_equivalence.py``,
@@ -34,10 +37,14 @@ results, prints, heap effects, virtual cycles, per-method accounts,
 sample counts, and compile events are bit-identical to the reference
 loop for every run, whichever engine actually executes it.
 
-Generated source is cached in the cross-run
-:class:`~repro.vm.opt.artifact_cache.JITArtifactCache` under a key
-derived from the artifact's own identity (:func:`closure_source_key`),
-so sweep workers and serving tenants share codegen the same way they
+Generated functions are keyed by their source identity
+(:func:`closure_source_key`: the code, not the tier's speed, which the
+function reads at run time). One size-bounded process-wide map holds the
+exec'd function, or the refusal reason, per key, so fresh
+``JITCompiler`` instances (every protocol pass, every new serving fleet)
+never re-emit or re-``compile`` a method. The source is also published
+to the cross-run :class:`~repro.vm.opt.artifact_cache.JITArtifactCache`,
+so sweep workers in other processes share codegen the same way they
 share artifacts. The *closure objects* themselves are never pickled:
 ``CompiledCode.__getstate__`` strips every ``_closure*`` memo, so a hot
 model swap or cache invalidation always rebuilds from (cached) source
@@ -49,6 +56,8 @@ from __future__ import annotations
 import hashlib
 import re
 import sys
+import threading
+from collections import OrderedDict
 
 from .closure_emit import (
     CLOSURE_SCHEMA_VERSION,
@@ -76,7 +85,16 @@ MAX_COMPILED_DEPTH = 1500
 #: Host recursion frames reserved per VM call, plus slack for the driver.
 _RECURSION_SLACK = 1000
 
+#: Most generated functions (or refusals) the process-wide memo keeps.
+MEMO_LIMIT = 4096
+
 _W_CALL = BASE_COST[Op.CALL]
+_INF = float("inf")
+
+#: source key -> ``(function, source)`` or the refusal reason (a str).
+_memo: OrderedDict[str, object] = OrderedDict()
+_memo_lock = threading.Lock()
+_recursion_lock = threading.Lock()
 
 
 class _Bailout(Exception):
@@ -91,14 +109,14 @@ def closure_source_key(compiled, num_params: int) -> str:
     """Cross-run cache key for an artifact's generated source.
 
     Self-contained: covers everything the emitter reads (schema version,
-    name, level, speed factor, locals/params, the exact instruction
-    stream), so it can never collide across codegen-relevant changes.
+    name, level, locals/params, the exact instruction stream), so it can
+    never collide across codegen-relevant changes. The speed factor is
+    not part of it: generated code reads it at run time.
     """
     lines = [
         f"closure-v{CLOSURE_SCHEMA_VERSION}",
         compiled.method_name,
         str(compiled.level),
-        repr(compiled.speed_factor),
         str(compiled.num_locals),
         str(num_params),
     ]
@@ -113,6 +131,9 @@ def _build_namespace(compiled) -> dict:
     """Exec globals for one closure: run-independent bindings only."""
     namespace = {
         "_invoke": _invoke,
+        "_slow": _slow,
+        "_tick": _tick,
+        "_INF": _INF,
         "_BAIL": _Bailout,
         "_EE": ExecutionError,
     }
@@ -129,13 +150,15 @@ def _build_namespace(compiled) -> dict:
 
 
 def ensure_closure(compiled, program, artifact_cache=None):
-    """The compiled closure for *compiled*, built at most once.
+    """The compiled closure for *compiled*, built at most once per process.
 
     Both outcomes are memoized on the artifact itself (outside the
     dataclass fields, stripped before pickling): ``_closure`` holds the
-    function, ``_closure_unsupported`` the failure reason. Routing is
-    therefore a pure, deterministic function of the artifact's code.
-    Raises :class:`ClosureUnsupported` when this method must fall back.
+    function, ``_closure_unsupported`` the failure reason. A fresh
+    artifact with a known source key takes both from the process-wide
+    memo. Routing is therefore a pure, deterministic function of the
+    artifact's code. Raises :class:`ClosureUnsupported` when this method
+    must fall back.
     """
     fn = compiled.__dict__.get("_closure")
     if fn is not None:
@@ -143,11 +166,36 @@ def ensure_closure(compiled, program, artifact_cache=None):
     reason = compiled.__dict__.get("_closure_unsupported")
     if reason is not None:
         raise ClosureUnsupported(reason)
-    num_params = program.method(compiled.method_name).num_params
+    key = closure_source_key(
+        compiled, program.method(compiled.method_name).num_params
+    )
+    with _memo_lock:
+        built = _memo.get(key)
+        if built is not None:
+            _memo.move_to_end(key)
+    if built is None:
+        built = _build(compiled, key, program, artifact_cache)
+        with _memo_lock:
+            _memo[key] = built
+            if len(_memo) > MEMO_LIMIT:
+                _memo.popitem(last=False)
+    elif artifact_cache is not None and not isinstance(built, str):
+        artifact_cache.put(key, built[1])
+    if isinstance(built, str):
+        object.__setattr__(compiled, "_closure_unsupported", built)
+        raise ClosureUnsupported(built)
+    fn, src = built
+    # Benign race under threads: both sides build identical functions.
+    object.__setattr__(compiled, "_closure_src", src)
+    object.__setattr__(compiled, "_closure", fn)
+    return fn
+
+
+def _build(compiled, key: str, program, artifact_cache):
+    """Emit (or fetch cached source) and exec one closure: ``(fn, src)``,
+    or the refusal reason."""
     src = None
-    key = None
     if artifact_cache is not None:
-        key = closure_source_key(compiled, num_params)
         cached = artifact_cache.get(key)
         if isinstance(cached, str):
             src = cached
@@ -156,20 +204,17 @@ def ensure_closure(compiled, program, artifact_cache=None):
             src = emit_closure_source(
                 compiled.method_name,
                 compiled.code,
-                num_params,
+                program.method(compiled.method_name).num_params,
                 compiled.num_locals,
-                compiled.speed_factor,
             )
         except UnsupportedShape as exc:
-            object.__setattr__(compiled, "_closure_unsupported", str(exc))
-            raise ClosureUnsupported(str(exc)) from exc
+            return str(exc)
         if artifact_cache is not None:
             artifact_cache.put(key, src)
     try:
         namespace = _build_namespace(compiled)
     except ClosureUnsupported as exc:
-        object.__setattr__(compiled, "_closure_unsupported", str(exc))
-        raise
+        return str(exc)
     exec(
         compile(
             src,
@@ -178,11 +223,7 @@ def ensure_closure(compiled, program, artifact_cache=None):
         ),
         namespace,
     )
-    fn = namespace[closure_name(compiled.method_name)]
-    # Benign race under threads: both sides build identical functions.
-    object.__setattr__(compiled, "_closure_src", src)
-    object.__setattr__(compiled, "_closure", fn)
-    return fn
+    return namespace[closure_name(compiled.method_name)], src
 
 
 class _VMContext:
@@ -194,7 +235,7 @@ class _VMContext:
     """
 
     __slots__ = (
-        "interp", "ctx", "mc", "mw", "sampler", "adv",
+        "interp", "ctx", "mc", "mw", "sampler", "adv", "watch", "states",
         "depth", "max_depth", "fuel",
     )
 
@@ -205,9 +246,53 @@ class _VMContext:
         self.mw = interp.profile.method_work
         self.sampler = interp.sampler
         self.adv = interp.sampler.advance
+        # With listeners attached, blocks are bounded by the next tick.
+        self.watch = interp.sampler.has_listeners
+        self.states = interp._states
         self.depth = 1
         self.max_depth = interp.config.max_call_depth
         self.fuel = interp.config.max_instructions
+
+
+def _tick(vm, clock, name):
+    """A sampler tick at a method transition: advance under *name*, then
+    apply any recompiles the listeners queued. Returns the clock."""
+    vm.adv(clock, name)
+    interp = vm.interp
+    if interp._recompile_queue:
+        interp.clock = clock
+        interp._apply_recompiles()
+        clock = interp.clock
+    return clock
+
+
+def _slow(vm, state, name, clock, mcycles, mwork, executed, speed, weights):
+    """One block's accounting, replayed per instruction.
+
+    Called when the block's batched clock would reach the next sampler
+    tick. Mirrors the reference epilogue instruction by instruction:
+    charge ``work * speed``, and at each crossed tick flush the accounts,
+    advance the sampler (listeners run), apply queued recompiles and
+    re-read the speed. Returns ``(clock, mcycles, mwork, executed)``.
+    """
+    sampler = vm.sampler
+    for work in weights:
+        cost = work * speed
+        clock += cost
+        mcycles += cost
+        mwork += work
+        executed += 1
+        if clock >= sampler._next_tick:
+            vm.mc[name] = mcycles
+            vm.mw[name] = mwork
+            sampler.advance(clock, name)
+            interp = vm.interp
+            if interp._recompile_queue:
+                interp.clock = clock
+                interp._apply_recompiles()
+                clock = interp.clock
+                speed = state.compiled.speed_factor
+    return clock, mcycles, mwork, executed
 
 
 def _invoke(vm, name, args, clock, executed):
@@ -217,7 +302,8 @@ def _invoke(vm, name, args, clock, executed):
     materialization (compile-cycle charge + first-invocation hook +
     recompile drain), invocation count, the CALL instruction's cost at
     the *callee's* speed charged to the callee's accounts, and the
-    sampler check under the callee's name. Returns
+    sampler check under the callee's name (applying recompiles, so the
+    callee starts at its state's speed). Returns
     ``(result, clock, executed)``.
     """
     if vm.depth >= vm.max_depth:
@@ -249,9 +335,8 @@ def _invoke(vm, name, args, clock, executed):
     mw = vm.mw
     mc[name] = mc.get(name, 0.0) + cost
     mw[name] = mw.get(name, 0.0) + _W_CALL
-    sampler = vm.sampler
-    if clock >= sampler._next_tick:
-        sampler.advance(clock, name)
+    if clock >= vm.sampler._next_tick:
+        clock = _tick(vm, clock, name)
     vm.depth += 1
     try:
         return fn(vm, clock, executed, *args)
@@ -285,10 +370,11 @@ def resolve_compiled(interp, entry_name: str):
 
     Refusals, in check order:
 
-    - **Sample listeners attached** (adaptive runs): a listener may
-      observably act between any two instructions — between-safepoint
-      batching would be visible. Checked at ``run()`` time because
-      controllers attach after construction.
+    - **A sample listener without** ``reset()``: a bailout replays the
+      run from scratch with the same listeners, which must first return
+      to their just-attached state. Checked at ``run()`` time because
+      controllers attach after construction. (Listeners themselves are
+      exact: blocks are bounded by the next tick.)
     - **Call depth beyond** :data:`MAX_COMPILED_DEPTH`: each VM call
       consumes host stack; past this we won't chase the recursion limit.
     - **Any statically reachable method whose baseline artifact the
@@ -298,8 +384,9 @@ def resolve_compiled(interp, entry_name: str):
       here is safe: it only warms the per-run memo — compile *cycles*
       are still charged at first invocation, exactly as the reference.
     """
-    if interp.sampler.has_listeners:
-        return None
+    for listener in interp.sampler.listeners:
+        if not callable(getattr(listener, "reset", None)):
+            return None
     if interp.config.max_call_depth > MAX_COMPILED_DEPTH:
         return None
     cache = interp.jit.artifact_cache
@@ -322,6 +409,21 @@ def resolve_compiled(interp, entry_name: str):
     return entry_fn
 
 
+def _ensure_recursion_limit(need: int) -> None:
+    """Raise the process-wide recursion limit to at least *need*.
+
+    Monotonic and never lowered: compiled runs execute on several
+    threads at once (serving executors), and a save/restore pair around
+    each run would let one thread lower the limit under another's deep
+    recursion.
+    """
+    if sys.getrecursionlimit() >= need:
+        return
+    with _recursion_lock:
+        if sys.getrecursionlimit() < need:
+            sys.setrecursionlimit(need)
+
+
 def run_compiled(interp, state, args: tuple):
     """Execute one run on the compiled tier.
 
@@ -334,20 +436,13 @@ def run_compiled(interp, state, args: tuple):
         fn = ensure_closure(state.compiled, interp.program,
                             interp.jit.artifact_cache)
     vm = _VMContext(interp)
-    old_limit = sys.getrecursionlimit()
-    need = _RECURSION_SLACK + 3 * vm.max_depth
-    bumped = need > old_limit
-    if bumped:
-        sys.setrecursionlimit(need)
+    _ensure_recursion_limit(_RECURSION_SLACK + 3 * vm.max_depth)
     try:
         result, clock, executed = fn(vm, interp.clock, 0, *args)
     except RecursionError as exc:
         # Host stack exhausted before the VM depth check fired (possible
         # when the driver itself sits deep in a host stack): replay.
         raise _Bailout() from exc
-    finally:
-        if bumped:
-            sys.setrecursionlimit(old_limit)
     interp.clock = clock
     interp.profile.instructions_executed = executed
     sampler = interp.sampler

@@ -137,21 +137,17 @@ class Interpreter:
         self.config = config
         self.jit = jit if jit is not None else JITCompiler(program, config)
         self.sampler = Sampler(config.sample_interval)
-        self.intrinsic_ctx = IntrinsicContext(
-            rng=Random(rng_seed), heap=Heap(gc_policy, gc_model)
-        )
         # Kept for the compiled tier's bailout-and-replay path, which
-        # reconstructs an identical run on the fast engine.
+        # resets this run in place and replays it on the fast engine.
         self._rng_seed = rng_seed
         self._gc_policy = gc_policy
         self._gc_model = gc_model
-        self.clock = 0.0
-        self.profile = RunProfile()
-        self._states: dict[str, _MethodState] = {}
-        self._frames: list[_Frame] = []
-        self._recompile_queue: list[tuple[str, int]] = []
+        self._reset_run_state()
         self._first_invocation_hook = first_invocation_hook
         self._finished = False
+        #: The engine that finished the last run ("compiled", "fast" or
+        #: "reference"; a compiled bailout finishes on "fast").
+        self.engine_used: str | None = None
         # Forge plumbing (repro.learning.forge): all default-off, and dormant
         # unless the forked-run labeler arms them on a reference-engine run.
         self._fork_hook: ForkHook | None = None
@@ -187,6 +183,20 @@ class Interpreter:
         return self.intrinsic_ctx.output
 
     # -- internals ---------------------------------------------------------
+    def _reset_run_state(self) -> None:
+        """Everything one run mutates, at its initial value (the sampler
+        keeps its listeners)."""
+        self.intrinsic_ctx = IntrinsicContext(
+            rng=Random(self._rng_seed),
+            heap=Heap(self._gc_policy, self._gc_model),
+        )
+        self.clock = 0.0
+        self.profile = RunProfile()
+        self.sampler.reset()
+        self._states: dict[str, _MethodState] = {}
+        self._frames: list[_Frame] = []
+        self._recompile_queue: list[tuple[str, int]] = []
+
     def _charge_compile(self, compiled: CompiledCode) -> None:
         self.clock += compiled.compile_cycles
         self.profile.compile_cycles += compiled.compile_cycles
@@ -247,11 +257,9 @@ class Interpreter:
                 if frame.name == name:
                     frame.speed = compiled.speed_factor
 
-    def run(self, args: tuple = (), entry: str | None = None) -> RunProfile:
-        """Execute the program to completion and return its profile."""
-        if self._finished:
-            raise ExecutionError("Interpreter instances are single-use")
-        entry_name = entry if entry is not None else self.program.entry
+    def _enter(self, entry_name: str, args: tuple) -> _MethodState:
+        """Materialize and count the entry method, as the reference CALL
+        would, before its first frame executes."""
         state = self._ensure_state(entry_name)
         expected = self.program.method(entry_name).num_params
         if len(args) != expected:
@@ -260,6 +268,14 @@ class Interpreter:
             )
         self._apply_recompiles()
         state.invocations += 1
+        return state
+
+    def run(self, args: tuple = (), entry: str | None = None) -> RunProfile:
+        """Execute the program to completion and return its profile."""
+        if self._finished:
+            raise ExecutionError("Interpreter instances are single-use")
+        entry_name = entry if entry is not None else self.program.entry
+        state = self._enter(entry_name, args)
         if self._outer_entries is not None:
             self._live_counts[entry_name] = 1
             self._outer_entries[entry_name] = 1
@@ -275,11 +291,14 @@ class Interpreter:
         try:
             if entry_fn is not None:
                 try:
+                    self.engine_used = "compiled"
                     result = run_compiled(self, state, tuple(args))
                 except _Bailout:
+                    self.engine_used = "fast"
                     result = self._replay_on_fast(args, entry_name)
             else:
                 use_fast = self.engine != "reference"
+                self.engine_used = "fast" if use_fast else "reference"
                 frame_cls = FastFrame if use_fast else _Frame
                 self._frames.append(frame_cls(state.compiled, list(args)))
                 result = run_fast(self) if use_fast else self._loop()
@@ -337,35 +356,22 @@ class Interpreter:
     def _replay_on_fast(self, args: tuple, entry_name: str):
         """Re-run from scratch on the fast engine after a compiled bailout.
 
-        The compiled tier bails *wholesale*: partial clock, accounts,
-        output, and heap effects of the abandoned attempt are discarded
-        with this interpreter's state and replaced by the inner run's —
-        adopted even when the inner run raises, because callers read
-        ``output``/profile after ExecutionErrors. The shared ``jit``
-        means the replay's compile memo is warm, charging identical
-        virtual compile cycles. First-invocation hooks are re-invoked
-        (all in-repo hooks are pure functions of the method name).
+        The compiled tier bails *wholesale*: the partial clock, accounts,
+        samples, output and heap effects of the abandoned attempt are
+        reset in place, every sample listener is ``reset()`` to its
+        just-attached state (``resolve_compiled`` admits only listeners
+        that have one), and the run restarts on the fast engine. The
+        shared ``jit`` means the replay's compile memo is warm, charging
+        identical virtual compile cycles. First-invocation hooks are
+        re-invoked (all in-repo hooks are pure functions of the method
+        name).
         """
-        inner = Interpreter(
-            self.program,
-            config=self.config,
-            rng_seed=self._rng_seed,
-            jit=self.jit,
-            first_invocation_hook=self._first_invocation_hook,
-            gc_policy=self._gc_policy,
-            gc_model=self._gc_model,
-            engine="fast",
-        )
-        try:
-            inner.run(args, entry=entry_name)
-        finally:
-            self.clock = inner.clock
-            self.profile = inner.profile
-            self.sampler = inner.sampler
-            self.intrinsic_ctx = inner.intrinsic_ctx
-            self._states = inner._states
-            self._frames = inner._frames
-        return inner.result
+        self._reset_run_state()
+        for listener in self.sampler.listeners:
+            listener.reset()
+        state = self._enter(entry_name, args)
+        self._frames.append(FastFrame(state.compiled, list(args)))
+        return run_fast(self)
 
     def _finalize(self, result) -> None:
         prof = self.profile

@@ -13,7 +13,12 @@ from typing import Callable, Protocol
 
 
 class SampleListener(Protocol):
-    """Receives each timer sample as it is taken."""
+    """Receives each timer sample as it is taken.
+
+    A listener may also define ``reset()``, returning it to its
+    just-attached state; runs whose listeners all have one may execute on
+    the closure-compiled tier (see :func:`repro.vm.closures.resolve_compiled`).
+    """
 
     def on_sample(self, method: str, clock: float, count: int) -> None:
         """Called with the sampled *method*, the clock, and that method's
@@ -40,6 +45,15 @@ class Sampler:
 
     def add_listener(self, listener: SampleListener) -> None:
         self._listeners.append(listener)
+
+    @property
+    def listeners(self) -> tuple[SampleListener, ...]:
+        return tuple(self._listeners)
+
+    def reset(self) -> None:
+        """Forget every sample and restart the timer; listeners stay."""
+        self.counts = {}
+        self._next_tick = self.interval
 
     @property
     def has_listeners(self) -> bool:

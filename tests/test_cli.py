@@ -58,6 +58,21 @@ class TestCLI:
         assert "evolve" in out
         assert out.count("\n") >= 5
 
+    def test_bench_unknown_benchmark_is_one_line_error(self, capsys):
+        assert main(["bench", "BadName"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.count("\n") == 0
+        assert err.startswith("error: unknown benchmark 'BadName'")
+        assert "Search" in err
+        assert "Traceback" not in err
+
+    def test_sweep_unknown_benchmark_is_one_line_error(self, capsys):
+        assert main(["sweep", "Search", "Nope", "--no-cache"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: unknown benchmark 'Nope'")
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

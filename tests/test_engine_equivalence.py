@@ -164,9 +164,11 @@ def test_stack_overflow_identical():
         fn down(k) { return down(k + 1); }
         """
     )
-    config = VMConfig(max_call_depth=40)
-    # Level 2 eliminates the tail call (no overflow) — levels differ from
-    # each other, but the two engines must agree at every level.
+    # Level 2 eliminates the tail call, so there the program loops until
+    # the fuel runs out: a small budget keeps that level cheap while the
+    # lower levels still overflow. Levels differ from each other, but the
+    # engines must agree at every level.
+    config = VMConfig(max_call_depth=40, max_instructions=50_000)
     assert_engines_agree(program, (0,), config=config)
 
 
@@ -240,24 +242,32 @@ def test_compiled_fuel_exhaustion_mid_loop(fuel):
     assert_engines_agree(program, (9,), config=config)
 
 
-def test_compiled_sampler_attached_falls_back_identically():
-    # Adaptive runs attach sample listeners; the compiled tier must
-    # refuse them (a listener can observably act between any two
-    # instructions) and the run must land on the fast path, bit-identical
-    # to the reference.
+def test_compiled_sampler_attached_runs_identically():
+    # Adaptive runs attach sample listeners; the compiled tier takes them
+    # (blocks are bounded by the next sampler tick) and must stay
+    # bit-identical to the reference, recompiles and samples included.
     program = compile_source(HOT_SRC)
     ref = _adaptive_run(program, (600,), "reference")
     compiled = _adaptive_run(program, (600,), "compiled")
     assert ref == compiled
 
 
-def test_resolve_compiled_refuses_listeners_and_extreme_depth():
+class _OpaqueListener:
+    """A listener with no ``reset()``: a bailout could not replay it."""
+
+    def on_sample(self, method, clock, count):
+        pass
+
+
+def test_resolve_compiled_admits_resettable_listeners_refuses_extreme_depth():
     from repro.vm.closures import MAX_COMPILED_DEPTH, resolve_compiled
 
     program = compile_source(HOT_SRC)
     interp = Interpreter(program, engine="compiled")
     assert resolve_compiled(interp, "main") is not None
     AdaptiveController(interp)
+    assert resolve_compiled(interp, "main") is not None
+    interp.sampler.add_listener(_OpaqueListener())
     assert resolve_compiled(interp, "main") is None
 
     deep = Interpreter(

@@ -137,14 +137,14 @@ def test_emission_is_deterministic(index):
         try:
             first = emit_closure_source(
                 name, compiled.code, num_params,
-                compiled.num_locals, compiled.speed_factor,
+                compiled.num_locals,
             )
         except UnsupportedShape as exc:
             # Refusals are just as deterministic as emissions.
             try:
                 emit_closure_source(
                     name, compiled.code, num_params,
-                    compiled.num_locals, compiled.speed_factor,
+                    compiled.num_locals,
                 )
                 raise AssertionError("second emission did not refuse")
             except UnsupportedShape as exc2:
@@ -152,7 +152,7 @@ def test_emission_is_deterministic(index):
             continue
         second = emit_closure_source(
             name, compiled.code, num_params,
-            compiled.num_locals, compiled.speed_factor,
+            compiled.num_locals,
         )
         assert first == second
         assert closure_source_key(compiled, num_params) == closure_source_key(

@@ -101,9 +101,9 @@ class TestStaleClosures:
     """Regression: recompilation after a hot model swap (or any artifact
     round-trip through the shared JIT cache) must discard stale generated
     closures. ``CompiledCode.__getstate__`` strips the ``_closure*``
-    memos, so a swapped-in artifact always rebuilds its function from
-    (separately cached) source — it can never resurrect a function
-    object generated before the invalidation."""
+    memos, so a swapped-in artifact always looks its function up again
+    by source key (the exact code it carries) — it can never resurrect
+    a function object generated for other code."""
 
     def test_cache_roundtrip_discards_generated_closures(self, tmp_path):
         from repro.lang import compile_source
@@ -127,14 +127,21 @@ class TestStaleClosures:
         assert "_closure" not in swapped.__dict__
         assert "_closure_src" not in swapped.__dict__
         assert "_closure_unsupported" not in swapped.__dict__
-        # The rebuilt closure is a fresh function over the same (cached)
-        # source, and it still executes correctly.
+        # The swapped-in artifact gets the process-wide function for its
+        # source key: a pure function of the code it carries (the speed
+        # is read at run time), so sharing it is never stale.
         rebuilt = ensure_closure(swapped, program, cache)
-        assert rebuilt is not fn
+        assert rebuilt is fn
         assert (
             swapped.__dict__["_closure_src"]
             == compiled.__dict__["_closure_src"]
         )
+        # Different code never shares a function.
+        other = compile_source("fn main(n) { return n * 2 + 3; }")
+        other_fn = ensure_closure(
+            JITCompiler(other, DEFAULT_CONFIG).compile("main", 2), other
+        )
+        assert other_fn is not fn
         interp = Interpreter(program, engine="compiled")
         interp.run((20,))
         assert interp.result == 41
