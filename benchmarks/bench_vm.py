@@ -1,8 +1,8 @@
-"""Wall-clock benchmarks for the fast-path execution engine.
+"""Wall-clock benchmarks for the VM's two execution engines.
 
 pytest-benchmark twin of ``repro bench``: times the reference loop and
-the fast engine on the suite's workloads and checks the fast path's
-speedup target. Run with::
+the closure-compiled tier (``engine="auto"``) on the suite's workloads
+and checks the compiled tier's speedup target. Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_vm.py -q
 """
@@ -25,7 +25,7 @@ pytestmark = pytest.mark.bench
 N = 30_000
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("engine", ["reference", "auto"])
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_engine_throughput(benchmark, workload, engine):
     program = compile_source(WORKLOADS[workload])
@@ -39,12 +39,12 @@ def test_engine_throughput(benchmark, workload, engine):
     assert instructions > N
 
 
-def test_fast_engine_speedup_target():
-    """The tentpole acceptance bar: >=3x over the reference interpreter."""
+def test_compiled_tier_speedup_target():
+    """The acceptance bar: >=3x over the reference interpreter."""
     rows = bench_workloads(quick=True, repeats=3)
-    speedups = [row["speedup"] for row in rows]
+    speedups = [row["speedup_compiled"] for row in rows]
     best = max(speedups)
-    assert best >= 3.0, f"fast engine best speedup {best:.2f}x < 3x target"
+    assert best >= 3.0, f"compiled tier best speedup {best:.2f}x < 3x target"
 
 
 def test_bench_report_schema_and_baseline(tmp_path):

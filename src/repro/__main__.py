@@ -30,8 +30,9 @@ cache; ``sweep`` caches by default; ``--no-jit-cache`` additionally
 disables the cross-run JIT artifact cache). ``fuzz`` adds
 ``--iterations N``, ``--time-budget SECONDS``, ``--corpus-dir PATH``
 (write minimized reproducers there; exit status 1 when any divergence is
-found), and ``--engines`` (cross-check the fast and closure-compiled
-engines against the reference interpreter instead of the pass matrix).
+found), and ``--engines`` (cross-check the closure-compiled tier against
+the reference interpreter instead of the pass matrix, and print how many
+runs executed compiled and how many fell back to the reference loop).
 Bare ``bench`` runs
 the wall-clock VM benchmark suite — interpreter workloads, a sweep cell,
 fuzz throughput, and the learning layer (training rows/s, fast-vs-
@@ -147,9 +148,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engines",
         action="store_true",
-        help="fuzz: compare the fast and closure-compiled engines "
-        "against the reference interpreter (clocks, samples, compile "
-        "events) instead of the pass matrix",
+        help="fuzz: compare the closure-compiled tier against the "
+        "reference interpreter (clocks, samples, compile events) instead "
+        "of the pass matrix; reports how many runs executed compiled and "
+        "how many fell back",
     )
     parser.add_argument(
         "--no-jit-cache",

@@ -22,8 +22,8 @@ Schema v6 adds two subsections:
 Latency percentiles and req/s are host-dependent and therefore only
 *reported*; the regression gate tracks ``overhead_ratio`` and the
 batch-kernel speedup geomean — both ratios of two timings taken on the
-same runner, machine-independent the same way the fast/reference engine
-speedups are.
+same runner, machine-independent the same way the compiled/reference
+engine speedups are.
 """
 
 from __future__ import annotations

@@ -2,14 +2,13 @@
 
 Everything else in this repository measures *virtual* cycles; this module
 measures *host* wall-clock, answering one question: how much real time does
-the fast-path engine (:mod:`repro.vm.fastpath`) save over the reference
-interpreter? It times three things:
+the closure-compiled tier (:mod:`repro.vm.closures`) save over the reference
+interpreter? It times:
 
 1. **Interpreter throughput** — three workloads (arithmetic loop, array
-   sweep, call-heavy) on all three engines (reference loop, fast path,
-   closure-compiled tier) at baseline and at opt level 2, reporting
-   instructions/second plus the fast/reference and compiled/reference
-   speedups.
+   sweep, call-heavy) on both engines (reference loop and closure-compiled
+   tier) at baseline and at opt level 2, reporting instructions/second
+   plus the compiled/reference speedup.
 2. **A Table I sweep cell** — one benchmark's scenario cell through
    :func:`repro.experiments.parallel.execute_cell`, cold vs. warm JIT
    artifact cache, asserting the virtual-cycle outcomes are identical.
@@ -30,12 +29,14 @@ interpreter? It times three things:
    rows per second.
 
 Results are emitted as a schema-checked ``BENCH_vm.json``. CI's regression
-gate compares the engine/reference **speedup ratios** (VM workloads,
-compiled-tier geomean, and learning geomean) against a checked-in baseline
-(``benchmarks/BENCH_baseline.json``) rather than absolute
-instructions/second, which would vary with runner hardware. Baselines
-recorded before a section existed (e.g. schema v3 has no compiled-tier
-numbers) are tolerated — the corresponding gate simply skips.
+gate compares the engine/reference **speedup ratios** (compiled-tier
+geomean, learning geomean, and the serving, batch-kernel and fork ratios)
+against a checked-in baseline (``benchmarks/BENCH_baseline.json``) rather
+than absolute instructions/second, which would vary with runner hardware.
+Baselines recorded before a section existed (e.g. schema v3 has no
+compiled-tier numbers) are tolerated — the corresponding gate simply
+skips; sections of removed engines (the schema v6 fast-engine ``speedup``
+section and ``fast_*`` row fields) are ignored.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ import time
 from ..lang import compile_source
 from ..vm import Interpreter
 
-BENCH_SCHEMA_VERSION = 6
+BENCH_SCHEMA_VERSION = 7
 
-#: Workload sources: small MiniLang kernels exercising the three hot shapes
-#: the fast engine targets (fused arithmetic loops, array traffic, calls).
+#: Workload sources: small MiniLang kernels exercising three hot shapes
+#: (arithmetic loops, array traffic, calls).
 WORKLOADS: dict[str, str] = {
     "arith_loop": """
 fn main(n) {
@@ -110,11 +111,13 @@ def _time_run(program, n: int, engine: str, level: int | None) -> tuple[float, i
     start = time.perf_counter()
     profile = interp.run((n,))
     wall = time.perf_counter() - start
+    if engine == "auto" and interp.engine_used != "compiled":  # pragma: no cover
+        raise AssertionError(f"bench run finished on {interp.engine_used!r}")
     return wall, profile.instructions_executed, interp.result
 
 
 def bench_workloads(quick: bool = False, repeats: int = 3) -> list[dict]:
-    """Time every workload on all three engines; best-of-*repeats* each."""
+    """Time every workload on both engines; best-of-*repeats* each."""
     rows: list[dict] = []
     for name, source in WORKLOADS.items():
         program = compile_source(source)
@@ -123,7 +126,7 @@ def bench_workloads(quick: bool = False, repeats: int = 3) -> list[dict]:
             best: dict[str, float] = {}
             instructions = 0
             results: dict[str, object] = {}
-            for engine in ("reference", "fast", "compiled"):
+            for engine in ("reference", "auto"):
                 walls = []
                 for _ in range(repeats):
                     wall, instructions, result = _time_run(
@@ -132,28 +135,22 @@ def bench_workloads(quick: bool = False, repeats: int = 3) -> list[dict]:
                     walls.append(wall)
                     results[engine] = result
                 best[engine] = min(walls)
-            for engine in ("fast", "compiled"):
-                if results["reference"] != results[engine]:  # pragma: no cover
-                    raise AssertionError(
-                        f"engine divergence in workload {name!r}: "
-                        f"{results['reference']!r} != {results[engine]!r} "
-                        f"({engine})"
-                    )
+            if results["reference"] != results["auto"]:  # pragma: no cover
+                raise AssertionError(
+                    f"engine divergence in workload {name!r}: "
+                    f"{results['reference']!r} != {results['auto']!r}"
+                )
             ref_ips = instructions / best["reference"]
-            fast_ips = instructions / best["fast"]
-            compiled_ips = instructions / best["compiled"]
+            compiled_ips = instructions / best["auto"]
             rows.append(
                 {
                     "name": name,
                     "level": level,
                     "instructions": instructions,
                     "reference_wall_s": best["reference"],
-                    "fast_wall_s": best["fast"],
-                    "compiled_wall_s": best["compiled"],
+                    "compiled_wall_s": best["auto"],
                     "reference_ips": ref_ips,
-                    "fast_ips": fast_ips,
                     "compiled_ips": compiled_ips,
-                    "speedup": fast_ips / ref_ips,
                     "speedup_compiled": compiled_ips / ref_ips,
                 }
             )
@@ -265,7 +262,6 @@ def bench_report(quick: bool = False) -> dict:
     from .servebench import bench_serving
 
     workloads = bench_workloads(quick=quick)
-    speedups = [row["speedup"] for row in workloads]
     compiled_speedups = [row["speedup_compiled"] for row in workloads]
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
@@ -276,11 +272,6 @@ def bench_report(quick: bool = False) -> dict:
             "machine": platform.machine(),
         },
         "workloads": workloads,
-        "speedup": {
-            "geomean": geomean(speedups),
-            "min": min(speedups),
-            "max": max(speedups),
-        },
         "speedup_compiled": {
             "geomean": geomean(compiled_speedups),
             "min": min(compiled_speedups),
@@ -325,20 +316,14 @@ def validate_bench_report(report: dict) -> None:
         need(row, "instructions", int, where)
         for key in (
             "reference_wall_s",
-            "fast_wall_s",
             "compiled_wall_s",
             "reference_ips",
-            "fast_ips",
             "compiled_ips",
-            "speedup",
             "speedup_compiled",
         ):
             need(row, key, (int, float), where)
             if row[key] <= 0:
                 raise ValueError(f"{where}: {key!r} must be positive")
-    need(report, "speedup", dict, "report")
-    for key in ("geomean", "min", "max"):
-        need(report["speedup"], key, (int, float), "speedup")
     need(report, "speedup_compiled", dict, "report")
     for key in ("geomean", "min", "max"):
         need(report["speedup_compiled"], key, (int, float), "speedup_compiled")
@@ -482,32 +467,14 @@ def compare_to_baseline(
 ) -> list[str]:
     """Regression check against a recorded baseline report.
 
-    Compares the machine-independent fast/reference speedup ratios (the
-    geomean and each workload) — not absolute instructions/second, which
-    depend on runner hardware. Returns a list of human-readable failures
-    (empty when within tolerance).
+    Compares machine-independent speedup ratios — not absolute
+    instructions/second, which depend on runner hardware. A schema v6
+    baseline's fast-engine ``speedup`` section and ``fast_*`` row fields
+    belong to the removed engine and are ignored. Returns a list of
+    human-readable failures (empty when within tolerance).
     """
     failures: list[str] = []
     floor = 1.0 - max_regression
-    base_geo = baseline["speedup"]["geomean"]
-    new_geo = report["speedup"]["geomean"]
-    if new_geo < base_geo * floor:
-        failures.append(
-            f"geomean speedup regressed: {new_geo:.2f}x vs baseline "
-            f"{base_geo:.2f}x (floor {base_geo * floor:.2f}x)"
-        )
-    base_rows = {
-        (row["name"], row["level"]): row for row in baseline["workloads"]
-    }
-    for row in report["workloads"]:
-        base = base_rows.get((row["name"], row["level"]))
-        if base is None:
-            continue
-        if row["speedup"] < base["speedup"] * floor:
-            failures.append(
-                f"{row['name']} (level {row['level']}): speedup "
-                f"{row['speedup']:.2f}x vs baseline {base['speedup']:.2f}x"
-            )
     # Compiled-tier gate: geomean of compiled/reference speedups. Baselines
     # recorded before schema v4 have no compiled numbers and are tolerated
     # — the gate simply skips.
@@ -577,23 +544,15 @@ def compare_to_baseline(
 
 def format_report(report: dict) -> str:
     """Human-readable summary for the CLI."""
-    lines = [
-        "workload        level  ref Mips  fast Mips  comp Mips  "
-        "fast    compiled"
-    ]
+    lines = ["workload        level  ref Mips  comp Mips  compiled"]
     for row in report["workloads"]:
         level = "base" if row["level"] is None else str(row["level"])
         lines.append(
             f"{row['name']:<15} {level:>5}  "
-            f"{row['reference_ips'] / 1e6:>8.2f}  {row['fast_ips'] / 1e6:>9.2f}  "
+            f"{row['reference_ips'] / 1e6:>8.2f}  "
             f"{row['compiled_ips'] / 1e6:>9.2f}  "
-            f"{row['speedup']:>5.2f}x  {row['speedup_compiled']:>7.2f}x"
+            f"{row['speedup_compiled']:>7.2f}x"
         )
-    sp = report["speedup"]
-    lines.append(
-        f"speedup (fast): geomean {sp['geomean']:.2f}x, "
-        f"min {sp['min']:.2f}x, max {sp['max']:.2f}x"
-    )
     spc = report["speedup_compiled"]
     lines.append(
         f"speedup (compiled): geomean {spc['geomean']:.2f}x, "

@@ -105,15 +105,15 @@ class EvolvableVM:
         self.app = app
         self.config = config
         #: Execution-engine knob, forwarded to every Interpreter this VM
-        #: constructs ("auto"/"compiled"/"fast"/"reference"). "auto"
-        #: runs on the closure-compiled tier with the adaptive
-        #: controller attached (blocks are bounded by the next sampler
-        #: tick) and falls back to the fast engine per run.
+        #: constructs ("auto"/"reference"). "auto" runs on the
+        #: closure-compiled tier with the adaptive controller attached
+        #: (blocks are bounded by the next sampler tick) and falls back
+        #: to the reference loop per run.
         self.engine = engine
         self.jit = jit if jit is not None else JITCompiler(app.program, config)
         self.cost_benefit = CostBenefitModel(self.jit, config.sample_interval)
         #: Training-engine knob for the learning layer ("auto"/"fast"/
-        #: "reference", mirroring Interpreter(engine=)); refit_jobs > 1
+        #: "reference"); refit_jobs > 1
         #: fans the end-of-run model refits across worker processes.
         self.learning_engine = learning_engine
         self.refit_jobs = refit_jobs

@@ -101,7 +101,7 @@ class CellSpec:
     #: cache key: artifact reuse only changes wall-clock, never results.
     jit_cache_dir: str | None = None
     #: Execution-engine knob forwarded to the scenario drivers
-    #: ("auto"/"compiled"/"fast"/"reference"). Like ``jit_cache_dir`` it is
+    #: ("auto"/"reference"). Like ``jit_cache_dir`` it is
     #: NOT part of the cell cache key: every engine is bit-identical in
     #: virtual-cycle results, so the choice only changes wall-clock.
     engine: str = "auto"

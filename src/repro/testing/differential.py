@@ -22,6 +22,7 @@ legitimately turns stack-overflow programs into loops. Programs from
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..lang import ast
@@ -69,17 +70,11 @@ class Variant:
 
     ``level`` None means the plain interpreter (all methods baseline);
     ``tier_passes`` overrides the pass pipelines (single-pass variants).
-    ``engine`` selects the dispatch engine. The ordinary matrix pins
-    ``fast`` (so pass/level divergence hunting doesn't pay closure
-    codegen for every variant of every program); cross-engine semantics
-    — including the compiled tier — are checked by the dedicated
-    engine-equivalence mode (:func:`compare_engines`, ``--engines``).
     """
 
     name: str
     level: int | None = None
     tier_passes: dict[int, tuple] | None = None
-    engine: str = "fast"
 
 
 def default_variants() -> tuple[Variant, ...]:
@@ -90,7 +85,7 @@ def default_variants() -> tuple[Variant, ...]:
     return tuple(variants)
 
 
-REFERENCE = Variant("interp", None, None, engine="reference")
+REFERENCE = Variant("interp", None, None)
 
 
 @dataclass(frozen=True)
@@ -169,7 +164,11 @@ def execute_variant(
         rng_seed=rng_seed,
         jit=jit,
         first_invocation_hook=hook,
-        engine=variant.engine,
+        # The reference loop is the cheapest engine for the pass/level
+        # matrix: the compiled tier would pay closure codegen for every
+        # variant of every program, most of them run once. Cross-engine
+        # semantics are checked by compare_engines (``--engines``).
+        engine="reference",
     )
     try:
         interp.run(args)
@@ -226,16 +225,18 @@ def run_differential(
 
 
 # ---------------------------------------------------------------------------
-# Engine-equivalence mode: reference loop vs. fast vs. compiled tiers
+# Engine-equivalence mode: reference loop vs. the closure-compiled tier
 # ---------------------------------------------------------------------------
 
 #: Levels the engine comparison forces via the first-invocation hook
 #: (None = everything stays at baseline).
 ENGINE_LEVELS: tuple[int | None, ...] = (None, 0, 1, 2)
 
-#: Engines compared by default; the first entry is the oracle the others
-#: are diffed against.
-ENGINE_SET: tuple[str, ...] = ("reference", "fast", "compiled")
+#: The engine pair compared: the oracle, then the engine diffed against
+#: it. ``auto`` runs on the compiled tier when it accepts the run and on
+#: the reference loop otherwise; each observation records which engine
+#: actually executed (``engine_used``).
+ENGINE_SET: tuple[str, ...] = ("reference", "auto")
 
 
 @dataclass(frozen=True)
@@ -243,7 +244,7 @@ class EngineObservation:
     """Everything one engine observed — *including* the virtual clocks.
 
     The ordinary differential matrix excludes cycle counts (levels differ
-    by design); between the two dispatch engines at the *same* level they
+    by design); between two dispatch engines at the *same* level they
     must match bit-for-bit, so this observation captures total cycles,
     compile cycles, instruction count, per-method samples and cycle
     accounts, and the full compile-event sequence. For ``error`` and
@@ -251,6 +252,8 @@ class EngineObservation:
     are compared: the engines batch sampler bookkeeping differently, so
     mid-fault bookkeeping is only loosely defined (a tick crossed by the
     instruction that faults may or may not have been registered yet).
+    ``engine_used`` (the engine that finished the run) is recorded but
+    never compared.
     """
 
     kind: str
@@ -266,27 +269,22 @@ class EngineObservation:
     method_work: tuple = ()
     final_levels: tuple = ()
     compile_events: tuple = ()
+    engine_used: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class EngineDivergence:
-    """One field where an engine disagreed with the oracle.
-
-    ``engine`` records which engine pair disagreed (oracle vs. this
-    engine) — minimized fuzz findings carry it through their labels, so
-    a reproducer names the culprit tier directly.
-    """
+    """One field where the ``auto`` engine disagreed with the oracle."""
 
     level: int | None
     field: str
     reference: str
     observed: str
-    engine: str = "fast"
 
     def describe(self) -> str:
         label = "base" if self.level is None else f"L{self.level}"
         return (
-            f"engines@{label} [reference vs {self.engine}]: {self.field} "
+            f"engines@{label}: {self.field} "
             f"expected {self.reference}, got {self.observed}"
         )
 
@@ -306,6 +304,14 @@ class EngineReport:
     @property
     def ok(self) -> bool:
         return not self.divergences
+
+    def routing(self) -> Counter:
+        """How many ``auto`` runs finished on each engine
+        (``engine_used`` → count)."""
+        return Counter(
+            observed[ENGINE_SET[1]].engine_used
+            for observed in self.observations.values()
+        )
 
 
 def execute_engine(
@@ -333,6 +339,7 @@ def execute_engine(
             error=type(exc).__name__,
             output=tuple(interp.output),
             heap=_heap_summary(interp),
+            engine_used=interp.engine_used,
         )
     except ExecutionError as exc:
         return EngineObservation(
@@ -340,6 +347,7 @@ def execute_engine(
             error=type(exc).__name__,
             output=tuple(interp.output),
             heap=_heap_summary(interp),
+            engine_used=interp.engine_used,
         )
     profile = interp.profile
     return EngineObservation(
@@ -358,6 +366,7 @@ def execute_engine(
             (e.method, e.level, e.cycles, e.at_clock)
             for e in profile.compile_events
         ),
+        engine_used=interp.engine_used,
     )
 
 
@@ -371,44 +380,39 @@ def compare_engines(
     levels: tuple[int | None, ...] = ENGINE_LEVELS,
     config: VMConfig = FUZZ_CONFIG,
     rng_seed: int = 0,
-    engines: tuple[str, ...] = ENGINE_SET,
 ) -> EngineReport:
-    """Run every engine in *engines* side by side at every level.
+    """Run the reference loop and ``auto`` side by side at every level.
 
-    ``engines[0]`` is the oracle (normally the reference loop); each of
-    the others is diffed against it field by field, appending one
-    :class:`EngineDivergence` per mismatch — the acceptance oracle for
-    the fast and compiled tiers (zero divergences over the corpus and
-    the fuzz stream).
+    ``auto`` is diffed against the reference oracle field by field,
+    appending one :class:`EngineDivergence` per mismatch — the acceptance
+    oracle for the compiled tier (zero divergences over the corpus and
+    the fuzz stream). :meth:`EngineReport.routing` says how many of the
+    compared runs the compiled tier actually executed.
     """
     report = EngineReport()
-    oracle_engine = engines[0]
+    oracle, candidate = ENGINE_SET
     for level in levels:
-        ref = execute_engine(
-            program, args, oracle_engine, level, config, rng_seed
-        )
-        observed = {oracle_engine: ref}
-        report.observations[level] = observed
-        for engine in engines[1:]:
-            obs = execute_engine(program, args, engine, level, config, rng_seed)
-            observed[engine] = obs
-            if ref.kind == "ok" and obs.kind == "ok":
-                fields = [f.name for f in ref.__dataclass_fields__.values()]
-            else:
-                fields = list(_ENGINE_FAULT_FIELDS)
-            for name in fields:
-                a = getattr(ref, name)
-                b = getattr(obs, name)
-                if a != b:
-                    report.divergences.append(
-                        EngineDivergence(
-                            level=level,
-                            field=name,
-                            reference=repr(a),
-                            observed=repr(b),
-                            engine=engine,
-                        )
+        ref = execute_engine(program, args, oracle, level, config, rng_seed)
+        obs = execute_engine(program, args, candidate, level, config, rng_seed)
+        report.observations[level] = {oracle: ref, candidate: obs}
+        if ref.kind == "ok" and obs.kind == "ok":
+            fields = [
+                f.name for f in ref.__dataclass_fields__.values() if f.compare
+            ]
+        else:
+            fields = list(_ENGINE_FAULT_FIELDS)
+        for name in fields:
+            a = getattr(ref, name)
+            b = getattr(obs, name)
+            if a != b:
+                report.divergences.append(
+                    EngineDivergence(
+                        level=level,
+                        field=name,
+                        reference=repr(a),
+                        observed=repr(b),
                     )
+                )
     return report
 
 
@@ -443,13 +447,10 @@ def module_engine_diverges(
     args: tuple,
     config: VMConfig = FUZZ_CONFIG,
     rng_seed: int = 0,
-    engines: tuple[str, ...] = ENGINE_SET,
 ) -> bool:
     """Minimization predicate for engine-equivalence findings."""
     try:
         program = compile_module(module)
     except (LangError, VerificationError):
         return False
-    return not compare_engines(
-        program, args, config=config, rng_seed=rng_seed, engines=engines
-    ).ok
+    return not compare_engines(program, args, config=config, rng_seed=rng_seed).ok

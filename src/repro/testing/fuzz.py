@@ -16,6 +16,7 @@ line is enough to replay any failure locally.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..experiments.parallel import map_parallel
@@ -71,6 +72,9 @@ class FuzzReport:
     findings: list[FuzzFinding] = field(default_factory=list)
     wall_s: float = 0.0
     parallel: bool = False
+    #: Engine mode only: engine that finished each ``auto`` run
+    #: (``"compiled"`` or ``"reference"``, the fallback) → run count.
+    routing: Counter = field(default_factory=Counter)
 
     @property
     def ok(self) -> bool:
@@ -78,40 +82,46 @@ class FuzzReport:
 
     def describe(self) -> str:
         mode = "parallel" if self.parallel else "inline"
-        return (
+        text = (
             f"{self.checked}/{self.iterations} program(s) checked ({mode}), "
             f"{self.skipped} skipped, {len(self.findings)} divergence(s), "
             f"{self.wall_s:.2f}s wall"
         )
+        if self.routing:
+            compiled = self.routing["compiled"]
+            fallback = self.routing.total() - compiled
+            text += f"; {compiled} run(s) compiled, {fallback} fell back"
+        return text
 
 
-def _fuzz_chunk(spec: tuple) -> tuple[int, int, list[tuple[int, tuple[str, ...]]]]:
+def _fuzz_chunk(spec: tuple) -> tuple[int, int, list, Counter]:
     """Worker: check one iteration range, report diverging indices.
 
-    Picklable top-level function; the payload stays tiny (counts plus
-    ``(index, variant-names)`` pairs) so chunk results are cheap to ship
-    back from pool workers.
+    Picklable top-level function; the payload stays tiny (counts,
+    ``(index, variant-names)`` pairs, and the engine-mode routing
+    counts) so chunk results are cheap to ship back from pool workers.
     """
     seed, start, stop, deadline, config, engine_check = spec
     checked = 0
     skipped = 0
     hits: list[tuple[int, tuple[str, ...]]] = []
+    routing: Counter = Counter()
     for index in range(start, stop):
         if deadline is not None and time.time() >= deadline:
             break
         case = generate(seed, index)
         program = compile_source(case.source, name=f"fuzz_s{seed}_i{index}")
         if engine_check:
-            # Engine mode: reference loop vs fast vs compiled tiers at
-            # every level, strict comparison (clocks, samples, compile
-            # events). Labels carry which engine pair disagreed.
+            # Engine mode: reference loop vs the compiled tier at every
+            # level, strict comparison (clocks, samples, compile events).
             engine_report = compare_engines(program, case.args, config=config)
             checked += 1
+            routing.update(engine_report.routing())
             if engine_report.divergences:
                 labels = tuple(
                     dict.fromkeys(
                         f"{'base' if d.level is None else f'L{d.level}'}"
-                        f":{d.engine}:{d.field}"
+                        f":{d.field}"
                         for d in engine_report.divergences
                     )
                 )
@@ -123,7 +133,7 @@ def _fuzz_chunk(spec: tuple) -> tuple[int, int, list[tuple[int, tuple[str, ...]]
             skipped += 1
         if report.divergences:
             hits.append((index, tuple(d.variant for d in report.divergences)))
-    return checked, skipped, hits
+    return checked, skipped, hits, routing
 
 
 def run_fuzz(
@@ -145,9 +155,10 @@ def run_fuzz(
     ``variants`` narrows the matrix for the minimization predicate and
     the stored sidecar; workers always check the full default matrix.
     ``engine_check`` switches the oracle from the pass matrix to the
-    three-way reference-vs-fast-vs-compiled engine comparison (strict:
-    clocks, samples, and compile events must match bit-for-bit at every
-    opt level; finding labels record which engine pair disagreed).
+    two-way reference-vs-compiled engine comparison (strict: clocks,
+    samples, and compile events must match bit-for-bit at every opt
+    level; finding labels name the level and field), and fills
+    ``report.routing`` with how many runs the compiled tier executed.
     """
     clock = time.perf_counter()
     deadline = time.time() + time_budget if time_budget is not None else None
@@ -159,10 +170,11 @@ def run_fuzz(
     results, parallel = map_parallel(_fuzz_chunk, chunks, max(1, jobs))
     report = FuzzReport(seed=seed, iterations=iterations, parallel=parallel)
     hits: list[tuple[int, tuple[str, ...]]] = []
-    for checked, skipped, chunk_hits in results:
+    for checked, skipped, chunk_hits, routing in results:
         report.checked += checked
         report.skipped += skipped
         hits.extend(chunk_hits)
+        report.routing.update(routing)
 
     for index, divergent in sorted(hits):
         case = generate(seed, index)

@@ -19,8 +19,7 @@ single Python function that executes the method natively:
   method's state (``vm.states[name].compiled.speed_factor``), so one
   generated function serves every tier whose code it matches.
 
-Exactness rules the emitter obeys (the same arguments as
-:mod:`repro.vm.fastpath`, taken further):
+Exactness rules the emitter obeys:
 
 1. **Accounting chains.** ``clock += a; clock += b`` is the same float
    computation as ``clock = clock + a + b`` (left-associative, same
@@ -54,13 +53,13 @@ Exactness rules the emitter obeys (the same arguments as
    ``margin = len(code) + 2``) at function entry, every back-edge, and
    after every call return proves no instruction with ordinal > fuel
    ever executes compiled; budget-critical runs raise the internal
-   bailout and replay on the fast engine, which is per-instruction
+   bailout and replay on the reference loop, which is per-instruction
    exact.
 
 Shapes the emitter cannot structure (irreducible control flow,
 cross-loop jumps, non-innermost breaks, jumps that escape the enclosing
 construct) raise :class:`UnsupportedShape`; the runtime falls back to
-the fast engine. The MiniLang compiler and the optimization passes do
+the reference loop. The MiniLang compiler and the optimization passes do
 not produce them for the shipped benchmarks, but the differential fuzz
 generator's programs do (for instance "jump escapes range" and
 "backward jump to non-header"), so the fallback is a live path.
@@ -562,7 +561,7 @@ def emit_closure_source(
     """Generate the Python source of one method's compiled closure.
 
     Raises :class:`UnsupportedShape` when the control flow cannot be
-    structured; callers fall back to the fast engine.
+    structured; callers fall back to the reference loop.
     """
     emitter = _Emitter(method_name, code, num_params, num_locals)
     return emitter.emit_function()

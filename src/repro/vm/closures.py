@@ -1,11 +1,11 @@
 """Closure-compiled execution tier: runtime, routing, and fallback.
 
-The third (fastest) execution engine. :mod:`repro.vm.closure_emit`
+The production execution engine. :mod:`repro.vm.closure_emit`
 generates one Python function per :class:`~repro.vm.opt.jit.CompiledCode`
 artifact; this module ``exec``-compiles that source, memoizes the
 resulting closure on the artifact, dispatches cross-method calls, and
 decides — per run and per method — whether the compiled tier may run at
-all or must route to the fast/reference engines.
+all or must route to the reference loop.
 
 Architecture of one compiled run:
 
@@ -27,7 +27,7 @@ Architecture of one compiled run:
   fuel-budget proximity, a method recompiled into an unsupported shape,
   host recursion exhaustion — raises the internal :class:`_Bailout`.
   The interpreter then resets its run state and every listener in place
-  and *replays* on the fast engine from scratch (same seed, same shared
+  and *replays* on the reference loop from scratch (same seed, same shared
   JIT), which is per-instruction exact. Bailouts change wall-clock only,
   never observable results.
 
@@ -78,7 +78,7 @@ from .intrinsics import lookup as lookup_intrinsic
 
 #: Deepest ``max_call_depth`` the compiled tier will take on. Each VM call
 #: costs two host stack frames (``_invoke`` + the closure); beyond this we
-#: route to the fast engine rather than bump the recursion limit into
+#: route to the reference loop rather than bump the recursion limit into
 #: territory where CPython can hard-crash.
 MAX_COMPILED_DEPTH = 1500
 
@@ -98,7 +98,7 @@ _recursion_lock = threading.Lock()
 
 
 class _Bailout(Exception):
-    """Internal: abandon the compiled run and replay on the fast engine."""
+    """Internal: abandon the compiled run and replay on the reference loop."""
 
 
 class ClosureUnsupported(Exception):
@@ -138,7 +138,7 @@ def _build_namespace(compiled) -> dict:
         "_EE": ExecutionError,
     }
     for name in intrinsic_names(compiled.code):
-        # Unknown intrinsics fall back to the fast engine, which resolves
+        # Unknown intrinsics fall back to the reference loop, which resolves
         # them lazily at execution time exactly like the reference (the
         # INTRIN might sit on a never-taken path).
         try:
@@ -326,7 +326,7 @@ def _invoke(vm, name, args, clock, executed):
             )
         except ClosureUnsupported:
             # A shape this tier can't run (e.g. a hook recompiled the
-            # method into one): abandon and replay on the fast engine.
+            # method into one): abandon and replay on the reference loop.
             raise _Bailout() from None
     executed += 1
     cost = _W_CALL * compiled.speed_factor
@@ -366,7 +366,8 @@ def _reachable_methods(program, entry: str) -> list[str]:
 
 def resolve_compiled(interp, entry_name: str):
     """Run-level capability check; the entry closure if the run may
-    execute on the compiled tier, else ``None`` (route to fast).
+    execute on the compiled tier, else ``None`` (route to the reference
+    loop).
 
     Refusals, in check order:
 
@@ -404,7 +405,7 @@ def resolve_compiled(interp, entry_name: str):
                 entry_fn = fn
     except (ClosureUnsupported, VMError):
         # VMError: a statically referenced but never-invoked method can be
-        # uncompilable; the other engines only fail if it actually runs.
+        # uncompilable; the reference loop only fails if it actually runs.
         return None
     return entry_fn
 
@@ -427,9 +428,9 @@ def _ensure_recursion_limit(need: int) -> None:
 def run_compiled(interp, state, args: tuple):
     """Execute one run on the compiled tier.
 
-    Entry contract mirrors ``run_fast``: the entry state exists, its
+    Entry contract mirrors the reference loop's: the entry state exists, its
     invocation is counted, ``interp.clock`` is live. Raises
-    :class:`_Bailout` when the run must replay on the fast engine.
+    :class:`_Bailout` when the run must replay on the reference loop.
     """
     fn = state.compiled.__dict__.get("_closure")
     if fn is None:  # pragma: no cover - resolve_compiled builds it

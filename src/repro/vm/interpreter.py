@@ -20,7 +20,6 @@ from typing import Callable
 
 from .closures import _Bailout, resolve_compiled, run_compiled
 from .config import BASELINE_LEVEL, DEFAULT_CONFIG, VMConfig
-from .fastpath import FastFrame, run_fast
 from .errors import (
     ExecutionError,
     FuelExhaustedError,
@@ -127,10 +126,9 @@ class Interpreter:
         gc_model: GCCostModel = GCCostModel(),
         engine: str = "auto",
     ):
-        if engine not in ("auto", "compiled", "fast", "reference"):
+        if engine not in ("auto", "reference"):
             raise ValueError(
-                "engine must be 'auto', 'compiled', 'fast', or 'reference', "
-                f"got {engine!r}"
+                f"engine must be 'auto' or 'reference', got {engine!r}"
             )
         self.program = program
         self.engine = engine
@@ -138,15 +136,15 @@ class Interpreter:
         self.jit = jit if jit is not None else JITCompiler(program, config)
         self.sampler = Sampler(config.sample_interval)
         # Kept for the compiled tier's bailout-and-replay path, which
-        # resets this run in place and replays it on the fast engine.
+        # resets this run in place and replays it on the reference loop.
         self._rng_seed = rng_seed
         self._gc_policy = gc_policy
         self._gc_model = gc_model
         self._reset_run_state()
         self._first_invocation_hook = first_invocation_hook
         self._finished = False
-        #: The engine that finished the last run ("compiled", "fast" or
-        #: "reference"; a compiled bailout finishes on "fast").
+        #: The engine that finished the last run: "compiled" or
+        #: "reference" (refusals and compiled bailouts finish there).
         self.engine_used: str | None = None
         # Forge plumbing (repro.learning.forge): all default-off, and dormant
         # unless the forked-run labeler arms them on a reference-engine run.
@@ -279,14 +277,13 @@ class Interpreter:
         if self._outer_entries is not None:
             self._live_counts[entry_name] = 1
             self._outer_entries[entry_name] = 1
-        # Engine ladder: "auto" prefers compiled → fast; "compiled" pins the
-        # top tier but still routes unsupported runs down (silent fallback
-        # is part of its contract); "fast"/"reference" pin their loops
-        # ("reference" is the oracle for the differential harness and the
-        # benchmark suite). All tiers are bit-identical in virtual-cycle
-        # semantics — see repro.vm.fastpath and repro.vm.closures.
+        # Two engines: "auto" runs on the closure-compiled tier and routes
+        # runs it refuses to the reference loop; "reference" pins the loop
+        # (the oracle for the differential harness and the benchmark
+        # suite). Both are bit-identical in virtual-cycle semantics — see
+        # repro.vm.closures.
         entry_fn = None
-        if self.engine in ("auto", "compiled"):
+        if self.engine == "auto":
             entry_fn = resolve_compiled(self, entry_name)
         try:
             if entry_fn is not None:
@@ -294,14 +291,12 @@ class Interpreter:
                     self.engine_used = "compiled"
                     result = run_compiled(self, state, tuple(args))
                 except _Bailout:
-                    self.engine_used = "fast"
-                    result = self._replay_on_fast(args, entry_name)
+                    self.engine_used = "reference"
+                    result = self._replay_on_reference(args, entry_name)
             else:
-                use_fast = self.engine != "reference"
-                self.engine_used = "fast" if use_fast else "reference"
-                frame_cls = FastFrame if use_fast else _Frame
-                self._frames.append(frame_cls(state.compiled, list(args)))
-                result = run_fast(self) if use_fast else self._loop()
+                self.engine_used = "reference"
+                self._frames.append(_Frame(state.compiled, list(args)))
+                result = self._loop()
         except ExecutionError:
             raise
         except (TypeError, ValueError, IndexError, ZeroDivisionError, KeyError) as exc:
@@ -353,14 +348,14 @@ class Interpreter:
         self._finalize(result)
         return self.profile
 
-    def _replay_on_fast(self, args: tuple, entry_name: str):
-        """Re-run from scratch on the fast engine after a compiled bailout.
+    def _replay_on_reference(self, args: tuple, entry_name: str):
+        """Re-run from scratch on the reference loop after a compiled bailout.
 
         The compiled tier bails *wholesale*: the partial clock, accounts,
         samples, output and heap effects of the abandoned attempt are
         reset in place, every sample listener is ``reset()`` to its
         just-attached state (``resolve_compiled`` admits only listeners
-        that have one), and the run restarts on the fast engine. The
+        that have one), and the run restarts on the reference loop. The
         shared ``jit`` means the replay's compile memo is warm, charging
         identical virtual compile cycles. First-invocation hooks are
         re-invoked (all in-repo hooks are pure functions of the method
@@ -370,8 +365,8 @@ class Interpreter:
         for listener in self.sampler.listeners:
             listener.reset()
         state = self._enter(entry_name, args)
-        self._frames.append(FastFrame(state.compiled, list(args)))
-        return run_fast(self)
+        self._frames.append(_Frame(state.compiled, list(args)))
+        return self._loop()
 
     def _finalize(self, result) -> None:
         prof = self.profile

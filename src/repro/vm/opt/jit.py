@@ -80,9 +80,8 @@ class CompiledCode:
         return len(self.code)
 
     def __getstate__(self):
-        # The fast-path engine memoizes its decoded instruction streams on
-        # the artifact (repro.vm.fastpath.ensure_decoded), and the compiled
-        # tier memoizes its generated closure/source/unsupported-reason
+        # The compiled tier memoizes its generated closure/source/
+        # unsupported-reason on the artifact
         # (repro.vm.closures.ensure_closure); strip every memo when
         # pickling. Beyond compactness this is load-bearing for the
         # serving fleet: artifacts round-trip through the shared
@@ -91,7 +90,6 @@ class CompiledCode:
         # code after a cache invalidation. Source is re-derived (and
         # separately cached) from the artifact itself.
         state = dict(self.__dict__)
-        state.pop("_decoded", None)
         state.pop("_closure", None)
         state.pop("_closure_src", None)
         state.pop("_closure_unsupported", None)

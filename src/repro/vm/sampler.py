@@ -59,10 +59,10 @@ class Sampler:
     def has_listeners(self) -> bool:
         """True when at least one listener must be notified per sample.
 
-        The fast-path interpreter consults this once per run: with no
-        listeners it may batch clock advancement across fused instruction
-        units, because no observer can act between two samples of the
-        same segment (see ``docs/performance.md``).
+        The compiled tier consults this once per run: with no listeners
+        its blocks need no tick check until a method transition, because
+        no observer can act between two samples of the same segment (see
+        ``docs/performance.md``).
         """
         return bool(self._listeners)
 

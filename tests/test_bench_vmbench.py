@@ -20,7 +20,6 @@ from repro.bench.vmbench import (
 
 
 def synthetic_report(
-    speedup: float = 4.0,
     learn_speedup: float = 5.0,
     overhead_ratio: float = 1.3,
     compiled_speedup: float = 12.0,
@@ -32,12 +31,9 @@ def synthetic_report(
         "level": None,
         "instructions": 1000,
         "reference_wall_s": 1.0,
-        "fast_wall_s": 1.0 / speedup,
         "compiled_wall_s": 1.0 / compiled_speedup,
         "reference_ips": 1000.0,
-        "fast_ips": 1000.0 * speedup,
         "compiled_ips": 1000.0 * compiled_speedup,
-        "speedup": speedup,
         "speedup_compiled": compiled_speedup,
     }
     return {
@@ -45,7 +41,6 @@ def synthetic_report(
         "quick": True,
         "host": {"python": "3", "implementation": "x", "machine": "y"},
         "workloads": [row],
-        "speedup": {"geomean": speedup, "min": speedup, "max": speedup},
         "speedup_compiled": {
             "geomean": compiled_speedup,
             "min": compiled_speedup,
@@ -153,8 +148,8 @@ def test_valid_report_passes():
     [
         lambda r: r.pop("workloads"),
         lambda r: r.update(schema_version=99),
-        lambda r: r["workloads"][0].update(speedup=0),
-        lambda r: r["workloads"][0].pop("fast_ips"),
+        lambda r: r["workloads"][0].update(speedup_compiled=0),
+        lambda r: r["workloads"][0].pop("reference_ips"),
         lambda r: r["workloads"][0].pop("compiled_ips"),
         lambda r: r.pop("speedup_compiled"),
         lambda r: r["speedup_compiled"].update(geomean=0),
@@ -218,19 +213,36 @@ def test_invalid_reports_rejected(mutate):
         validate_bench_report(report)
 
 
+def v6_baseline(fast_speedup: float = 4.0, **kwargs) -> dict:
+    """A schema v6 baseline: it still carries the removed fast engine's
+    ``speedup`` section and ``fast_*`` row fields."""
+    baseline = synthetic_report(**kwargs)
+    baseline["schema_version"] = 6
+    baseline["speedup"] = {
+        "geomean": fast_speedup, "min": fast_speedup, "max": fast_speedup,
+    }
+    for row in baseline["workloads"]:
+        row["fast_ips"] = row["reference_ips"] * fast_speedup
+        row["fast_wall_s"] = row["reference_wall_s"] / fast_speedup
+        row["speedup"] = fast_speedup
+    return baseline
+
+
 def test_baseline_within_tolerance():
-    report = synthetic_report(speedup=3.5)
-    baseline = synthetic_report(speedup=4.0)
-    # 3.5 >= 4.0 * 0.8 → fine.
+    # The v6 baseline's fast-engine section is ignored, however high.
+    report = synthetic_report()
+    baseline = v6_baseline(fast_speedup=100.0)
     assert compare_to_baseline(report, baseline, max_regression=0.20) == []
 
 
 def test_baseline_regression_detected():
-    report = synthetic_report(speedup=2.0)
-    baseline = synthetic_report(speedup=4.0)
+    # Against a v6 baseline, a compiled-tier regression is still caught —
+    # and reported by the compiled gate alone.
+    report = synthetic_report(compiled_speedup=6.0)
+    baseline = v6_baseline(fast_speedup=100.0, compiled_speedup=12.0)
     failures = compare_to_baseline(report, baseline, max_regression=0.20)
-    assert failures
-    assert any("geomean" in failure for failure in failures)
+    assert len(failures) == 1
+    assert "compiled speedup geomean" in failures[0]
 
 
 def test_compiled_regression_detected():
@@ -347,9 +359,12 @@ def test_checked_in_baseline_is_valid():
 
     path = Path(__file__).parent.parent / "benchmarks" / "BENCH_baseline.json"
     baseline = json.loads(path.read_text())
-    validate_bench_report(baseline)
+    # Recorded at schema v6, which differs from the current schema only by
+    # the removed fast engine's extra fields; every current field is there.
+    assert baseline["schema_version"] == 6
+    validate_bench_report({**baseline, "schema_version": BENCH_SCHEMA_VERSION})
+    assert compare_to_baseline(baseline, baseline) == []
     # The tentpole acceptance bars, recorded in the baseline itself.
-    assert baseline["speedup"]["geomean"] >= 3.0
     # Closure-compiled tier: at least 10x over the reference loop.
     assert baseline["speedup_compiled"]["geomean"] >= 10.0
     # Quick mode trains on small datasets where the sweep's advantage is
@@ -377,8 +392,8 @@ def test_checked_in_baseline_is_valid():
 def test_workload_timing_roundtrip(tmp_path):
     # One tiny real measurement exercises the writer end to end.
     rows = bench_workloads(quick=True, repeats=1)
-    assert all(row["speedup"] > 0 for row in rows)
     assert all(row["speedup_compiled"] > 0 for row in rows)
+    assert not [key for row in rows for key in row if "fast" in key]
     report = synthetic_report()
     out = tmp_path / "BENCH_vm.json"
     write_report(report, out)

@@ -1,16 +1,19 @@
-"""Equivalence suite: fast-path and compiled engines vs. the reference.
+"""Equivalence suite: the closure-compiled tier vs. the reference loop.
 
-The fast engine (:mod:`repro.vm.fastpath`) and the closure-compiled tier
-(:mod:`repro.vm.closures`) both promise *bit-identical* virtual-cycle
-semantics: same results, output, heap effects, final clocks, per-method
-cycle/work accounts, sample counts, and compile-event sequences as the
-reference loop, at every optimization level. These tests hold them to
-that over the regression corpus, seeded fuzz streams, adaptive
-(listener-attached) runs, and the resource-limit edges where batching —
-per-superinstruction in the fast engine, per-basic-block in the compiled
-tier — could plausibly leak.
+The closure-compiled tier (:mod:`repro.vm.closures`) promises
+*bit-identical* virtual-cycle semantics: same results, output, heap
+effects, final clocks, per-method cycle/work accounts, sample counts,
+and compile-event sequences as the reference loop, at every optimization
+level. These tests hold it to that over the regression corpus, seeded
+fuzz streams, adaptive (listener-attached) runs, and the resource-limit
+edges where per-basic-block batching could plausibly leak. Runs the tier
+refuses fall back to the reference loop, so the suite also checks that
+enough of them really execute compiled for the comparison to mean
+something.
 """
 
+import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,22 +23,11 @@ from repro.lang import compile_source
 from repro.testing import (
     ENGINE_LEVELS,
     compare_engines,
+    execute_engine,
     generate,
     load_corpus,
 )
-from repro.vm import Interpreter, Op, VMConfig
-from repro.vm.fastpath import (
-    F_CMP_JZ,
-    F_DUP_ADD,
-    F_LC,
-    F_LC_ARITH_S,
-    F_LL,
-    F_LL_CMP_JZ,
-    FUSED_BASE,
-    decode,
-    ensure_decoded,
-)
-from repro.vm.instructions import Instr
+from repro.vm import Interpreter, VMConfig
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -96,11 +88,34 @@ def test_fuzz_programs_identical_across_engines(index):
     assert_engines_agree(program, case.args)
 
 
+def test_equivalence_inputs_exercise_compiled_tier_at_every_level():
+    # Refused runs fall back to the reference loop and would compare it
+    # with itself; a structurizer regression refusing everything must not
+    # pass silently. At least one program of the corpus + seeded batch
+    # above has to execute compiled at every level.
+    inputs = [
+        (compile_source(entry.source, name=entry.name), entry.args)
+        for entry in load_corpus(CORPUS_DIR)
+    ]
+    for index in range(FUZZ_ITERATIONS):
+        case = generate(FUZZ_SEED, index)
+        inputs.append((compile_source(case.source, name=f"eq_{index}"), case.args))
+    missing = set(ENGINE_LEVELS)
+    for program, args in inputs:
+        for level in list(missing):
+            if execute_engine(program, args, "auto", level).engine_used == "compiled":
+                missing.discard(level)
+        if not missing:
+            break
+    assert not missing, f"no program ran compiled at levels {sorted(missing, key=str)}"
+
+
 # ---------------------------------------------------------------------------
-# Adaptive runs: listeners disable fusion but must stay identical
+# Adaptive runs: listener-attached, recompiling, and still identical
 # ---------------------------------------------------------------------------
 
 def _adaptive_run(program, args, engine, interval=4_000):
+    """Run once with an adaptive controller; ``(engine_used, observation)``."""
     interp = Interpreter(
         program,
         config=VMConfig(sample_interval=interval),
@@ -109,7 +124,7 @@ def _adaptive_run(program, args, engine, interval=4_000):
     )
     AdaptiveController(interp)
     profile = interp.run(args)
-    return (
+    return interp.engine_used, (
         interp.result,
         tuple(interp.output),
         profile.total_cycles,
@@ -127,20 +142,13 @@ def _adaptive_run(program, args, engine, interval=4_000):
 
 def test_adaptive_controller_runs_identical():
     program = compile_source(HOT_SRC)
-    ref = _adaptive_run(program, (600,), "reference")
-    fast = _adaptive_run(program, (600,), "fast")
-    assert ref == fast
+    used_ref, ref = _adaptive_run(program, (600,), "reference")
+    used_auto, auto = _adaptive_run(program, (600,), "auto")
+    assert (used_ref, used_auto) == ("reference", "compiled")
+    assert ref == auto
     # The run must actually have exercised recompilation for this to mean
     # anything.
     assert any(level > -1 for _, level in ref[7])
-
-
-def test_fused_mode_disabled_with_listeners():
-    program = compile_source(HOT_SRC)
-    interp = Interpreter(program, engine="fast")
-    assert not interp.sampler.has_listeners
-    AdaptiveController(interp)
-    assert interp.sampler.has_listeners
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +157,9 @@ def test_fused_mode_disabled_with_listeners():
 
 @pytest.mark.parametrize("fuel", [7, 50, 123, 1000, 4321])
 def test_fuel_exhaustion_timing_identical(fuel):
-    # The fast engine falls back to the unfused stream near the budget;
-    # the fault must surface after exactly the same instruction, with the
-    # same partial output and heap effects.
+    # The compiled tier bails out near the budget and replays on the
+    # reference loop; the fault must surface after exactly the same
+    # instruction, with the same partial output and heap effects.
     program = compile_source(HOT_SRC)
     config = VMConfig(max_instructions=fuel)
     assert_engines_agree(program, (600,), config=config)
@@ -235,21 +243,52 @@ def test_compiled_deep_nesting_identical():
 @pytest.mark.parametrize("fuel", [5, 37, 200, 777, 3000])
 def test_compiled_fuel_exhaustion_mid_loop(fuel):
     # Budget-critical runs must bail out of the compiled tier and replay
-    # on the fast engine; the fault surfaces after exactly the same
+    # on the reference loop; the fault surfaces after exactly the same
     # instruction with the same partial output either way.
     program = compile_source(DEEP_NEST_SRC)
     config = VMConfig(max_instructions=fuel)
-    assert_engines_agree(program, (9,), config=config)
+    report = assert_engines_agree(program, (9,), config=config)
+    assert report.routing() == {"reference": len(ENGINE_LEVELS)}
 
 
 def test_compiled_sampler_attached_runs_identically():
     # Adaptive runs attach sample listeners; the compiled tier takes them
     # (blocks are bounded by the next sampler tick) and must stay
-    # bit-identical to the reference, recompiles and samples included.
+    # bit-identical to the reference, recompiles and samples included —
+    # here with a short interval, so ticks land inside most blocks.
     program = compile_source(HOT_SRC)
-    ref = _adaptive_run(program, (600,), "reference")
-    compiled = _adaptive_run(program, (600,), "compiled")
-    assert ref == compiled
+    used_ref, ref = _adaptive_run(program, (600,), "reference", interval=333)
+    used_auto, auto = _adaptive_run(program, (600,), "auto", interval=333)
+    assert (used_ref, used_auto) == ("reference", "compiled")
+    assert ref == auto
+
+
+def test_host_recursion_bailout_replays_on_reference():
+    # A caller sitting deep in the host stack leaves the compiled tier's
+    # call chain too little room: the RecursionError bails out, and the
+    # run replays on the reference loop, bit-identically.
+    from repro.vm.closures import _RECURSION_SLACK
+
+    program = compile_source(
+        """
+        fn main(n) { return down(n); }
+        fn down(k) { if (k == 0) { return 0; } return down(k - 1) + k; }
+        """
+    )
+    config = VMConfig(max_call_depth=200)
+    expected = execute_engine(program, (150,), "reference", None, config)
+
+    def at_depth(remaining):
+        if remaining > 0:
+            return at_depth(remaining - 1)
+        return execute_engine(program, (150,), "auto", None, config)
+
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), _RECURSION_SLACK + 600))
+    # Leave the compiled run ~120 host frames: enough for the caller and
+    # the reference replay, far too few for 150 compiled VM calls.
+    observed = at_depth(sys.getrecursionlimit() - len(inspect.stack(0)) - 120)
+    assert observed.engine_used == "reference"
+    assert observed == expected
 
 
 class _OpaqueListener:
@@ -263,7 +302,7 @@ def test_resolve_compiled_admits_resettable_listeners_refuses_extreme_depth():
     from repro.vm.closures import MAX_COMPILED_DEPTH, resolve_compiled
 
     program = compile_source(HOT_SRC)
-    interp = Interpreter(program, engine="compiled")
+    interp = Interpreter(program)
     assert resolve_compiled(interp, "main") is not None
     AdaptiveController(interp)
     assert resolve_compiled(interp, "main") is not None
@@ -273,15 +312,15 @@ def test_resolve_compiled_admits_resettable_listeners_refuses_extreme_depth():
     deep = Interpreter(
         program,
         config=VMConfig(max_call_depth=MAX_COMPILED_DEPTH + 1),
-        engine="compiled",
     )
     assert resolve_compiled(deep, "main") is None
-    # The run itself still executes (on the fast engine) and agrees.
-    assert_engines_agree(
+    # The run itself still executes (on the reference loop) and agrees.
+    report = assert_engines_agree(
         program, (50,),
         config=VMConfig(max_call_depth=MAX_COMPILED_DEPTH + 1),
         levels=(None,),
     )
+    assert report.routing() == {"reference": 1}
 
 
 @pytest.mark.parametrize("depth", [5, 64, 1499])
@@ -340,8 +379,8 @@ def test_compiled_runtime_fault_edges():
 
 @pytest.mark.parametrize("index", range(FUZZ_ITERATIONS))
 def test_fresh_fuzz_programs_identical_across_engines(index):
-    # A second, compiled-era fuzz stream (fresh seed) over all three
-    # engines: results, output, heap, and cycles must match bit-for-bit.
+    # A second, compiled-era fuzz stream (fresh seed) over both engines:
+    # results, output, heap, and cycles must match bit-for-bit.
     case = generate(COMPILED_FUZZ_SEED, index)
     program = compile_source(case.source, name=f"ceq_{index}")
     assert_engines_agree(program, case.args, levels=(None, 2))
@@ -390,84 +429,6 @@ def test_closure_source_cached_in_artifact_cache(tmp_path):
     assert "_closure" not in compiled2.__dict__ or compiled2 is compiled
     ensure_closure(compiled2, program, cache)
     assert compiled2.__dict__["_closure_src"] == src
-
-
-# ---------------------------------------------------------------------------
-# Decoded-stream unit tests
-# ---------------------------------------------------------------------------
-
-def test_decode_is_pc_aligned_and_keeps_standalone_slots():
-    code = (
-        Instr(Op.LOAD, 1),
-        Instr(Op.LOAD, 0),
-        Instr(Op.LT),
-        Instr(Op.JZ, 9),
-        Instr(Op.LOAD, 1),
-        Instr(Op.CONST, 1),
-        Instr(Op.ADD),
-        Instr(Op.STORE, 1),
-        Instr(Op.JMP, 0),
-        Instr(Op.CONST, 0),
-        Instr(Op.RET),
-    )
-    fops, fargs, pops, pargs = decode(code)
-    assert len(fops) == len(fargs) == len(pops) == len(pargs) == len(code)
-    # Loop guard fuses into a quad at pc 0; increment fuses at pc 4.
-    assert fops[0] == F_LL_CMP_JZ
-    assert fargs[0] == (1, 0, int(Op.LT), 9)
-    assert fops[4] == F_LC_ARITH_S
-    assert fargs[4] == (1, 1, int(Op.ADD), 1)
-    # The plain stream always keeps the standalone decoding, so a jump
-    # into the middle of a fused window (e.g. pc 2, the LT) still works.
-    assert pops == [int(ins.op) for ins in code]
-    assert pops[2] == int(Op.LT)
-    # Interior slots of a fused window also decode independently: pc 2
-    # starts a cmp;JZ pair of its own.
-    assert fops[2] == F_CMP_JZ
-    assert fargs[2] == (int(Op.LT), 9)
-
-
-def test_decode_pairs_and_peephole_patterns():
-    code = (
-        Instr(Op.LOAD, 0),
-        Instr(Op.LOAD, 1),
-        Instr(Op.DUP),
-        Instr(Op.ADD),
-        Instr(Op.RET),
-    )
-    fops, fargs, _, _ = decode(code)
-    assert fops[0] == F_LL
-    assert fops[2] == F_DUP_ADD
-    assert fops[4] == int(Op.RET) < FUSED_BASE
-
-
-def test_decode_never_fuses_faultable_arithmetic():
-    # DIV/MOD can raise; they must stay standalone so fault pcs and the
-    # partial accounting around them match the reference exactly.
-    code = (
-        Instr(Op.LOAD, 0),
-        Instr(Op.CONST, 2),
-        Instr(Op.DIV),
-        Instr(Op.RET),
-    )
-    fops, _, _, _ = decode(code)
-    assert fops[0] == F_LC  # LOAD;CONST still pairs...
-    assert fops[2] == int(Op.DIV)  # ...but the DIV stays standalone
-
-
-def test_ensure_decoded_memoizes_and_pickles_clean():
-    import pickle
-
-    from repro.vm import DEFAULT_CONFIG, JITCompiler
-
-    program = compile_source(HOT_SRC)
-    jit = JITCompiler(program, DEFAULT_CONFIG)
-    compiled = jit.compile("main", 2)
-    first = ensure_decoded(compiled)
-    assert ensure_decoded(compiled) is first
-    clone = pickle.loads(pickle.dumps(compiled))
-    assert "_decoded" not in clone.__dict__
-    assert clone.code == compiled.code
 
 
 # ---------------------------------------------------------------------------

@@ -239,17 +239,19 @@ def test_cell_cache_key_ignores_jit_cache_dir(tmp_path):
     assert key(None) == key(str(tmp_path / "jit"))
 
 
-def test_cached_artifact_pickles_without_decode_memo(tmp_path, program):
-    from repro.vm.fastpath import ensure_decoded
+def test_cached_artifact_pickles_without_closure_memo(tmp_path, program):
+    from repro.vm.closures import ensure_closure
 
     dir_ = tmp_path / "jit"
     cache = JITArtifactCache(dir_)
     jit = JITCompiler(program, DEFAULT_CONFIG, artifact_cache=cache)
     compiled = jit.compile("main", 2)
-    ensure_decoded(compiled)  # attach the memo...
+    ensure_closure(compiled, program, cache)  # attach the memo...
     key = jit._artifact_key("main", 2)
     # ...then force a fresh disk write and reload.
     raw = pickle.dumps(compiled)
     clone = pickle.loads(raw)
-    assert "_decoded" not in clone.__dict__
-    assert JITArtifactCache(dir_).get(key) is not None
+    assert not [k for k in clone.__dict__ if k.startswith("_closure")]
+    reloaded = JITArtifactCache(dir_).get(key)
+    assert reloaded is not None
+    assert not [k for k in reloaded.__dict__ if k.startswith("_closure")]

@@ -1,10 +1,10 @@
-"""Listener-attached runs: compiled tier vs fast engine vs reference loop.
+"""Listener-attached runs: compiled tier vs reference loop.
 
 Every protocol and serving run has a sampling controller attached, with
 recompiles applied at sample ticks and mid-frame (OSR-lite) speed
 changes. The closure-compiled tier runs these tick-exactly: a block
 commits its batched accounting only when it cannot reach the next tick,
-and otherwise replays it per instruction. These tests hold all three
+and otherwise replays it per instruction. These tests hold both
 engines to bit-identical clocks, accounts, samples, compile events and
 controller decisions in that configuration, and check that the compiled
 tier really executed the run (``Interpreter.engine_used``).
@@ -27,7 +27,7 @@ from repro.vm.closures import ensure_closure
 from repro.vm.config import DEFAULT_CONFIG
 from repro.vm.errors import ExecutionError
 
-ENGINES = ("reference", "fast", "compiled")
+ENGINES = ("reference", "auto")
 
 LOOP_SRC = """
 fn main(n) {
@@ -157,19 +157,16 @@ def _observe(program, args, engine, attach, config, rng_seed=3):
 
 
 def _assert_all_engines_agree(
-    program, args, attach, config, compiled_engine="compiled"
+    program, args, attach, config, auto_finishes_on="compiled"
 ):
     observed = {
         engine: _observe(program, args, engine, attach, config)
         for engine in ENGINES
     }
     used = {engine: pair[0] for engine, pair in observed.items()}
-    assert used == {
-        "reference": "reference", "fast": "fast", "compiled": compiled_engine,
-    }
+    assert used == {"reference": "reference", "auto": auto_finishes_on}
     ref = observed["reference"][1]
-    assert observed["fast"][1] == ref
-    assert observed["compiled"][1] == ref
+    assert observed["auto"][1] == ref
     return ref
 
 
@@ -198,14 +195,15 @@ def test_burn_crossing_several_ticks(interval):
 @pytest.mark.parametrize("fuel", (1_000, 7_777, 20_000))
 @pytest.mark.parametrize("controller", sorted(CONTROLLERS))
 def test_fuel_exhaustion_replays_controller_decisions(controller, fuel):
-    # The compiled tier bails out near the budget and replays on the fast
-    # engine after resetting every listener in place; the controllers'
-    # decisions, samples and compile events must match the reference's.
+    # The compiled tier bails out near the budget and replays on the
+    # reference loop after resetting every listener in place; the
+    # controllers' decisions, samples and compile events must match the
+    # reference's.
     program = compile_source(LOOP_SRC)
     config = VMConfig(sample_interval=333, max_instructions=fuel)
     ref = _assert_all_engines_agree(
         program, (300,), CONTROLLERS[controller], config,
-        compiled_engine="fast",
+        auto_finishes_on="reference",
     )
     assert ref[0][0] == "FuelExhaustedError"
     if controller != "pair-plan" and fuel > 1_000:
@@ -262,7 +260,7 @@ def test_deep_compiled_runs_in_two_threads_never_bail():
     # The recursion limit is raised once per process and never lowered:
     # a thread finishing its run must not pull the limit out from under
     # another thread's deep run (a RecursionError there would bail out to
-    # the fast engine, or worse, crash the process).
+    # the reference loop, or worse, crash the process).
     program = compile_source(
         """
         fn main(n) { return down(n); }
@@ -291,7 +289,7 @@ def test_deep_compiled_runs_in_two_threads_never_bail():
 
     def worker(depth):
         for _ in range(3):
-            interp = Interpreter(program, config=config, engine="compiled")
+            interp = Interpreter(program, config=config, engine="auto")
             interp.run((depth,))
             outcomes.append(
                 (depth, interp.engine_used, interp.result,

@@ -4,9 +4,9 @@ Two properties the tier's routing layer must uphold regardless of what
 the emitter supports:
 
 1. **Fallback identity.** Whatever ``resolve_compiled`` decides — run
-   compiled, or route to the fast engine (listeners, depth, unsupported
-   shapes) — an ``engine="compiled"`` run is observably identical to
-   ``engine="reference"``: result, output, heap effects, clocks,
+   compiled, or route to the reference loop (listeners, depth,
+   unsupported shapes) — an ``engine="auto"`` run is observably identical
+   to ``engine="reference"``: result, output, heap effects, clocks,
    per-method accounts, samples, compile events.
 2. **Deterministic routing.** For a fixed artifact, the emit decision
    (source text or refusal reason) is a pure function of the artifact's
@@ -43,7 +43,6 @@ def test_compiled_engine_identical_on_generated_programs(index):
         program,
         case.args,
         levels=(None,),
-        engines=("reference", "compiled"),
     )
     assert report.ok, "\n".join(d.describe() for d in report.divergences)
 
@@ -76,7 +75,6 @@ def test_compiled_engine_identical_under_tight_limits(fuel, depth):
         (30,),
         levels=(None,),
         config=config,
-        engines=("reference", "compiled"),
     )
     assert report.ok, "\n".join(d.describe() for d in report.divergences)
 
@@ -88,7 +86,7 @@ def _method_with(code, num_locals=2, name="m"):
 def test_unsupported_shape_routes_to_fallback_identically():
     # An irreducible shape (a jump from outside a loop into its body)
     # must be refused by the emitter yet execute identically through the
-    # "compiled" engine, which silently lands on the fast path.
+    # "auto" engine, which silently lands on the reference loop.
     code = (
         Instr(Op.LOAD, 0),      # 0
         Instr(Op.JNZ, 4),       # 1: jump into the loop body from outside
@@ -112,13 +110,12 @@ def test_unsupported_shape_routes_to_fallback_identically():
         raised = True
     assert raised
     # Routing refuses the whole run up front...
-    interp = Interpreter(program, engine="compiled")
+    interp = Interpreter(program)
     assert resolve_compiled(interp, "main") is None
     # ...and the run still matches the reference bit-for-bit.
-    report = compare_engines(
-        program, (0,), levels=(None,), engines=("reference", "compiled")
-    )
+    report = compare_engines(program, (0,), levels=(None,))
     assert report.ok, "\n".join(d.describe() for d in report.divergences)
+    assert report.routing() == {"reference": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +169,7 @@ def test_routing_is_deterministic_across_fresh_interpreters():
     )
     decisions = set()
     for _ in range(3):
-        interp = Interpreter(program, engine="compiled")
+        interp = Interpreter(program)
         decisions.add(resolve_compiled(interp, "main") is not None)
     assert decisions == {True}
 

@@ -142,7 +142,7 @@ class TestStaleClosures:
             JITCompiler(other, DEFAULT_CONFIG).compile("main", 2), other
         )
         assert other_fn is not fn
-        interp = Interpreter(program, engine="compiled")
+        interp = Interpreter(program, engine="auto")
         interp.run((20,))
         assert interp.result == 41
 
@@ -167,9 +167,8 @@ class TestStaleClosures:
             return payloads
 
         auto = stream("auto")
-        compiled = stream("compiled")
         reference = stream("reference")
-        assert auto == compiled == reference
+        assert auto == reference
 
 
 class TestBackpressure:
