@@ -285,14 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=25,
         help="serve: runs between hot model swaps per tenant (default 25)",
     )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="serve: worker processes, each owning a hash-partition of "
-        "the tenants (default 1 = single-process); with --study also "
-        "runs the sharded bit-identity study incl. kill/respawn",
-    )
     return parser
 
 
@@ -634,10 +626,7 @@ def _cmd_serve(options) -> int:
             seed=options.seed,
             requests=options.requests,
             tenants=options.tenants,
-            shards=options.shards,
         )
-    if options.shards > 1:
-        return _cmd_serve_sharded(options)
 
     import asyncio
 
@@ -680,57 +669,6 @@ def _cmd_serve(options) -> int:
         return asyncio.run(_run())
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
         print("repro serve: interrupted, models persisted")
-        return 0
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-
-
-def _cmd_serve_sharded(options) -> int:
-    """The multi-process fleet: N forked workers behind the shard router,
-    exposed on the same public JSONL TCP surface as single-process
-    serve."""
-    import asyncio
-
-    from .experiments.server_study import build_tenant_apps
-    from .serving import ShardRouter
-    from .serving.server import serve_tcp
-
-    telemetry = _make_telemetry(options)
-    router = ShardRouter(
-        build_tenant_apps,
-        (options.tenants,),
-        shards=options.shards,
-        registry_dir=options.registry_dir,
-        refit_interval=options.refit_interval,
-        queue_bound=options.queue_bound,
-        telemetry=telemetry,
-        telemetry_path=options.telemetry,
-        host=options.host,
-    )
-
-    async def _run() -> int:
-        await router.start()
-        tcp = await serve_tcp(router, options.host, options.port)
-        print(
-            f"repro serve: {len(router._tenant_names)} tenant(s) across "
-            f"{options.shards} shard worker(s) on "
-            f"{options.host}:{options.port} "
-            f"(registry {options.registry_dir!r}); Ctrl-C to stop"
-        )
-        try:
-            async with tcp:
-                await tcp.serve_forever()
-        except asyncio.CancelledError:  # pragma: no cover - shutdown path
-            pass
-        finally:
-            await router.stop()
-        return 0
-
-    try:
-        return asyncio.run(_run())
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        print("repro serve: interrupted, shard models persisted")
         return 0
     finally:
         if telemetry is not None:

@@ -7,17 +7,11 @@ mixed-tenant traffic with request latency percentiles (p50/p95/p99),
 throughput, hot-swap and shed counts, and the soundness invariant that
 per-tenant results are bit-identical to serial replay.
 
-Schema v6 adds two subsections:
-
-- ``batch_kernel`` — the batched inference kernel
-  (:meth:`~repro.learning.flat.FlatForest.predict_batch`) against
-  per-row ``predict_all`` on the same forest and query matrix, at
-  several batch sizes, with outputs checked bit-identical. The speedup
-  geomean over batch sizes >= 16 (the serving drain regime) is the
-  gated ratio.
-- ``shard_scaling`` — requests/s for the same stream through the
-  multi-process :class:`~repro.serving.shards.ShardRouter` at 1/2/4
-  shards, every point checked bit-identical to serial replay.
+The ``batch_kernel`` subsection (schema v6) times the batched inference
+kernel (:meth:`~repro.learning.flat.FlatForest.predict_batch`) against
+per-row ``predict_all`` on the same forest and query matrix, at several
+batch sizes, with outputs checked bit-identical. The speedup geomean over
+batch sizes >= 16 (the serving drain regime) is the gated ratio.
 
 Latency percentiles and req/s are host-dependent and therefore only
 *reported*; the regression gate tracks ``overhead_ratio`` and the
@@ -105,50 +99,6 @@ def bench_batch_kernel(quick: bool = False) -> dict:
     }
 
 
-def bench_shard_scaling(quick: bool = False) -> dict:
-    """Requests/s through the multi-process router at 1/2/4 shards.
-
-    Every point replays the same request stream and is checked
-    bit-identical to one serial baseline (the kill pass is exercised by
-    ``repro serve --study --shards N`` and the shard test suite, not
-    re-run here). Quick mode stops at 2 shards to keep CI's bench-smoke
-    within budget.
-    """
-    from ..experiments.server_study import run_sharded_study
-
-    requests = 160 if quick else 400
-    tenants = 3 if quick else 4
-    counts = (1, 2) if quick else (1, 2, 4)
-    result = run_sharded_study(
-        seed=0,
-        requests=requests,
-        tenants=tenants,
-        shard_counts=counts,
-        refit_interval=20,
-        kill=False,
-    )
-    identical = all(point["identical"] for point in result.points)
-    if not identical:  # pragma: no cover
-        mismatches = [m for p in result.points for m in p["mismatches"]]
-        raise AssertionError(
-            "sharded serving diverged from serial replay: "
-            + "; ".join(mismatches[:3])
-        )
-    return {
-        "requests": result.requests,
-        "tenants": result.tenants,
-        "points": [
-            {
-                "shards": point["shards"],
-                "wall_s": point["wall_s"],
-                "rps": point["rps"],
-            }
-            for point in result.points
-        ],
-        "identical_to_serial": identical,
-    }
-
-
 def bench_serving(quick: bool = False) -> dict:
     """Run the fleet study at bench scale and emit the serving section."""
     from ..experiments.server_study import run_fleet_study
@@ -184,7 +134,6 @@ def bench_serving(quick: bool = False) -> dict:
         "batches": result.batches,
         "identical_to_serial": result.identical_to_serial,
         "batch_kernel": bench_batch_kernel(quick=quick),
-        "shard_scaling": bench_shard_scaling(quick=quick),
     }
 
 
@@ -210,14 +159,5 @@ def format_serving(section: dict) -> list[str]:
             f"batch kernel ({kernel['trees']} trees): geomean "
             f"{kernel['speedup']['geomean']:.2f}x at bs>={_GATE_SIZE} "
             f"({per_size})"
-        )
-    scaling = section.get("shard_scaling")
-    if scaling is not None:
-        per_point = ", ".join(
-            f"{point['shards']}x {point['rps']:.0f} req/s"
-            for point in scaling["points"]
-        )
-        lines.append(
-            f"shard scaling ({scaling['requests']} request(s)): {per_point}"
         )
     return lines

@@ -21,8 +21,8 @@ interpreter? It times:
    concurrent mixed-tenant traffic through the fleet server: request
    latency percentiles (p50/p95/p99), throughput, hot swaps, sheds, and
    the bit-identical-to-serial invariant; plus (schema v6) the batched
-   inference kernel's speedup over per-row predicts and multi-process
-   shard-scaling throughput, both checked bit-identical.
+   inference kernel's speedup over per-row predicts, checked
+   bit-identical.
 6. **The data forge** (:mod:`repro.bench.forgebench`) — the forked-run
    labeler's speedup over independent-runs labeling (labels asserted
    bit-identical) and end-to-end dataset-factory throughput in labeled
@@ -35,8 +35,9 @@ against a checked-in baseline (``benchmarks/BENCH_baseline.json``) rather
 than absolute instructions/second, which would vary with runner hardware.
 Baselines recorded before a section existed (e.g. schema v3 has no
 compiled-tier numbers) are tolerated — the corresponding gate simply
-skips; sections of removed engines (the schema v6 fast-engine ``speedup``
-section and ``fast_*`` row fields) are ignored.
+skips; sections of removed paths (the schema v6 fast-engine ``speedup``
+section, ``fast_*`` row fields, and ``serving.shard_scaling``) are
+ignored.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import time
 from ..lang import compile_source
 from ..vm import Interpreter
 
-BENCH_SCHEMA_VERSION = 7
+BENCH_SCHEMA_VERSION = 8
 
 #: Workload sources: small MiniLang kernels exercising three hot shapes
 #: (arithmetic loops, array traffic, calls).
@@ -409,30 +410,6 @@ def validate_bench_report(report: dict) -> None:
             "serving.batch_kernel: batched predictions must be "
             "bit-identical to per-row predict_all"
         )
-    need(serving, "shard_scaling", dict, "serving")
-    scaling = serving["shard_scaling"]
-    for key in ("requests", "tenants"):
-        need(scaling, key, int, "serving.shard_scaling")
-        if scaling[key] <= 0:
-            raise ValueError(
-                f"serving.shard_scaling: {key!r} must be positive"
-            )
-    need(scaling, "points", list, "serving.shard_scaling")
-    if not scaling["points"]:
-        raise ValueError("serving.shard_scaling: points must be non-empty")
-    for i, point in enumerate(scaling["points"]):
-        where = f"serving.shard_scaling.points[{i}]"
-        need(point, "shards", int, where)
-        for key in ("wall_s", "rps"):
-            need(point, key, (int, float), where)
-            if point[key] <= 0:
-                raise ValueError(f"{where}: {key!r} must be positive")
-    need(scaling, "identical_to_serial", bool, "serving.shard_scaling")
-    if scaling["identical_to_serial"] is not True:
-        raise ValueError(
-            "serving.shard_scaling: sharded results must be bit-identical "
-            "to serial replay"
-        )
     need(report, "datagen", dict, "report")
     datagen = report["datagen"]
     need(datagen, "fork", dict, "datagen")
@@ -469,9 +446,10 @@ def compare_to_baseline(
 
     Compares machine-independent speedup ratios — not absolute
     instructions/second, which depend on runner hardware. A schema v6
-    baseline's fast-engine ``speedup`` section and ``fast_*`` row fields
-    belong to the removed engine and are ignored. Returns a list of
-    human-readable failures (empty when within tolerance).
+    baseline's fast-engine ``speedup`` section, ``fast_*`` row fields and
+    ``serving.shard_scaling`` belong to removed paths and are ignored.
+    Returns a list of human-readable failures (empty when within
+    tolerance).
     """
     failures: list[str] = []
     floor = 1.0 - max_regression

@@ -227,9 +227,9 @@ class ModelBuilder:
     def predict_all_batch(
         self, fvectors: list[FeatureVector]
     ) -> list[dict[str, object]]:
-        """Batched :meth:`predict_all`: one level-synchronous kernel call
-        (:meth:`~repro.learning.flat.FlatForest.predict_batch`) answering
-        the whole query matrix, bit-identical to calling
+        """Batched :meth:`predict_all`: one call of the forest's compiled
+        batch program (:meth:`~repro.learning.flat.FlatForest.predict_batch`)
+        answering the whole query matrix, bit-identical to calling
         :meth:`predict_all` per vector. The serving layer routes drained
         predict batches through this so a queue drain costs one kernel
         pass, not one tree descent per request. Never trains."""

@@ -42,7 +42,6 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from random import Random
 
 from ..core.application import Application
@@ -318,8 +317,6 @@ def run_requests_serial(
     tenants: int = 4,
     refit_interval: int = 20,
     config: VMConfig = DEFAULT_CONFIG,
-    registry_dir: str | None = None,
-    kill: tuple[int, int, int] | None = None,
 ) -> dict[str, list[dict]]:
     """The per-tenant serial baseline the concurrent server must match.
 
@@ -327,28 +324,11 @@ def run_requests_serial(
     fleet, applying the same auto-swap policy the server applies (swap
     after ``refit_interval`` runs, inside the tenant's op stream).
     Returns each tenant's ordered deterministic response payloads.
-
-    *kill* = ``(request_index, shard_index, shard_count)`` models a
-    shard worker death at a quiesced boundary: before processing
-    ``requests[request_index]``, every tenant hashing into
-    *shard_index* (:func:`~repro.serving.shards.shard_of`) is torn down
-    and rebuilt from *registry_dir* — state-file restore plus generation
-    sidecar, exactly what a respawned worker does — so un-persisted
-    learning since the last swap is lost on both sides identically.
-    Kill modeling requires a real *registry_dir* (swap-point saves are
-    what the rebuilt tenants restore from).
     """
-    fleet, _ = _build_study_fleet(
-        tenants, registry_dir, refit_interval, config
-    )
+    fleet, _ = _build_study_fleet(tenants, None, refit_interval, config)
     by_name = {tenant.name: tenant for tenant in fleet}
     outcomes: dict[str, list[dict]] = {tenant.name: [] for tenant in fleet}
-    for i, request in enumerate(requests):
-        if kill is not None and i == kill[0]:
-            _serial_respawn(
-                by_name, kill[1], kill[2], registry_dir,
-                refit_interval, config,
-            )
+    for request in requests:
         tenant = by_name[request["app"]]
         if request["op"] == "run":
             payload = tenant.run(request["cmdline"], request.get("seed"))
@@ -358,37 +338,6 @@ def run_requests_serial(
         else:
             outcomes[tenant.name].append(tenant.predict(request["cmdline"]))
     return outcomes
-
-
-def _serial_respawn(
-    by_name: dict,
-    shard_index: int,
-    shard_count: int,
-    registry_dir: str | None,
-    refit_interval: int,
-    config: VMConfig,
-) -> None:
-    """Rebuild the killed shard's tenants the way a respawned worker
-    does: fresh registry over the same root, state + generation restored
-    from the last persisted swap."""
-    from ..serving.registry import ModelRegistry
-    from ..serving.shards import shard_of
-    from ..serving.tenant import build_fleet
-
-    killed = [
-        name
-        for name in by_name
-        if shard_of(name, shard_count) == shard_index
-    ]
-    apps = [by_name[name].app for name in killed]
-    registry = ModelRegistry(registry_dir)
-    for tenant in build_fleet(
-        apps,
-        registry=registry,
-        config=config,
-        refit_interval=refit_interval,
-    ):
-        by_name[tenant.name] = tenant
 
 
 @dataclass
@@ -642,250 +591,9 @@ def render_fleet(result: FleetStudyResult) -> str:
     )
 
 
-# ---------------------------------------------------------------------------
-# The sharded fleet study (`repro serve --study --shards N`)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ShardStudyResult:
-    """Multi-process serving validated against the serial baseline."""
-
-    requests: int
-    tenants: int
-    #: One row per shard count: shards / wall_s / rps / identical /
-    #: mismatches / batched_predicts.
-    points: list[dict] = field(default_factory=list)
-    #: The kill pass: one worker forcibly killed mid-stream at a
-    #: quiesced boundary, respawned from the envelope.
-    kill_shards: int = 0
-    kill_killed_shard: int = 0
-    kill_at: int = 0
-    kill_respawns: int = 0
-    kill_degradations: int = 0
-    kill_identical: bool = False
-    kill_mismatches: list[str] = field(default_factory=list)
-
-    @property
-    def all_identical(self) -> bool:
-        return (
-            all(point["identical"] for point in self.points)
-            and self.kill_identical
-        )
-
-
-async def _serve_requests_sharded(
-    stream: list[dict],
-    *,
-    shards: int,
-    tenants: int,
-    refit_interval: int,
-    config: VMConfig,
-    registry_dir: str,
-    queue_bound: int,
-    kill_at: int | None = None,
-    kill_shard: int | None = None,
-    pace: int = 8,
-) -> tuple[dict[str, list[dict]], "object"]:
-    """Drive *stream* through a :class:`~repro.serving.shards.ShardRouter`.
-
-    With *kill_at*/*kill_shard* set, the stream pauses at that index,
-    the fleet quiesces (``sync``: all accepted work including trailing
-    auto-swaps fully processed and persisted), the worker is killed and
-    its respawn awaited, then the rest of the stream proceeds — the
-    deterministic boundary :func:`run_requests_serial` models with its
-    ``kill`` parameter.
-    """
-    from ..serving.shards import ShardRouter
-
-    router = ShardRouter(
-        build_tenant_apps,
-        (tenants,),
-        shards=shards,
-        registry_dir=registry_dir,
-        config=config,
-        refit_interval=refit_interval,
-        queue_bound=queue_bound,
-    )
-    await router.start()
-    responses: list[dict] = []
-    try:
-        cut = len(stream) if kill_at is None else kill_at
-        futures = []
-        for i, request in enumerate(stream[:cut]):
-            futures.append(router.submit_nowait(request))
-            if pace and (i + 1) % pace == 0:
-                await asyncio.sleep(0)
-        responses.extend(await asyncio.gather(*futures))
-        if kill_at is not None:
-            await router.sync()
-            router.kill_shard(kill_shard)
-            await router.wait_respawn(kill_shard)
-            futures = []
-            for i, request in enumerate(stream[cut:]):
-                futures.append(router.submit_nowait(request))
-                if pace and (i + 1) % pace == 0:
-                    await asyncio.sleep(0)
-            responses.extend(await asyncio.gather(*futures))
-    finally:
-        await router.stop()
-    by_tenant: dict[str, list[dict]] = {
-        name: [] for name in router._tenant_names
-    }
-    for request, response in zip(stream, responses):
-        if response["status"] != 200:
-            continue
-        payload = {
-            k: v
-            for k, v in response.items()
-            if k not in ("status", "op", "id", "app", "wall_ms")
-        }
-        by_tenant[request["app"]].append(payload)
-    return by_tenant, router
-
-
-def run_sharded_study(
-    seed: int = 0,
-    requests: int = 400,
-    tenants: int = 4,
-    shard_counts: tuple[int, ...] = (1, 2, 4),
-    *,
-    refit_interval: int = 20,
-    config: VMConfig = DEFAULT_CONFIG,
-    kill: bool = True,
-) -> ShardStudyResult:
-    """Validate the sharded multi-process fleet against serial replay.
-
-    Phase 1 — scaling: the same request stream runs at every shard
-    count; each pass's per-tenant response streams must be bit-identical
-    to one serial baseline (requests/s recorded per point). Phase 2 —
-    the kill: at the highest shard count, one worker is killed at a
-    quiesced mid-stream boundary and respawned from the envelope; the
-    serial baseline models the same death (state rebuilt from the last
-    persisted swap), so bit-identity must hold *through* the kill.
-    """
-    stream = generate_fleet_requests(seed, requests, tenants)
-    serial = run_requests_serial(
-        stream, tenants=tenants, refit_interval=refit_interval, config=config
-    )
-    result = ShardStudyResult(
-        requests=requests, tenants=len({r["app"] for r in stream})
-    )
-
-    for shards in shard_counts:
-        scratch = tempfile.mkdtemp(prefix="repro-shard-registry-")
-        try:
-            clock = time.perf_counter()
-            served, router = asyncio.run(
-                _serve_requests_sharded(
-                    stream,
-                    shards=shards,
-                    tenants=tenants,
-                    refit_interval=refit_interval,
-                    config=config,
-                    registry_dir=scratch,
-                    queue_bound=max(64, requests),
-                )
-            )
-            wall = time.perf_counter() - clock
-        finally:
-            shutil.rmtree(scratch, ignore_errors=True)
-        mismatches = _compare_outcomes(serial, served)
-        result.points.append({
-            "shards": shards,
-            "wall_s": wall,
-            "rps": requests / wall if wall else 0.0,
-            "identical": not mismatches,
-            "mismatches": mismatches,
-        })
-
-    if kill:
-        shards = max(shard_counts)
-        # Kill a shard that owns at least one tenant, at mid-stream.
-        from ..serving.shards import shard_of
-
-        names = sorted({r["app"] for r in stream})
-        kill_shard = shard_of(names[0], shards)
-        kill_at = len(stream) // 2
-        serve_scratch = tempfile.mkdtemp(prefix="repro-shard-kill-")
-        serial_scratch = tempfile.mkdtemp(prefix="repro-shard-killbase-")
-        try:
-            served, router = asyncio.run(
-                _serve_requests_sharded(
-                    stream,
-                    shards=shards,
-                    tenants=tenants,
-                    refit_interval=refit_interval,
-                    config=config,
-                    registry_dir=serve_scratch,
-                    queue_bound=max(64, requests),
-                    kill_at=kill_at,
-                    kill_shard=kill_shard,
-                )
-            )
-            serial_kill = run_requests_serial(
-                stream,
-                tenants=tenants,
-                refit_interval=refit_interval,
-                config=config,
-                registry_dir=serial_scratch,
-                kill=(kill_at, kill_shard, shards),
-            )
-        finally:
-            shutil.rmtree(serve_scratch, ignore_errors=True)
-            shutil.rmtree(serial_scratch, ignore_errors=True)
-        mismatches = _compare_outcomes(serial_kill, served)
-        result.kill_shards = shards
-        result.kill_killed_shard = kill_shard
-        result.kill_at = kill_at
-        result.kill_respawns = router._shards[kill_shard].respawns
-        result.kill_degradations = len(router.report)
-        result.kill_identical = not mismatches
-        result.kill_mismatches = mismatches
-    else:
-        result.kill_identical = True
-    return result
-
-
-def render_sharded(result: ShardStudyResult) -> str:
-    rows = [
-        [
-            str(point["shards"]),
-            f"{point['rps']:.0f}",
-            f"{point['wall_s']:.2f}",
-            "yes" if point["identical"] else "NO",
-        ]
-        for point in result.points
-    ]
-    table = format_table(
-        ["shards", "req/s", "wall (s)", "bit-identical"], rows
-    )
-    lines = [
-        f"Sharded fleet study: {result.requests} request(s) across "
-        f"{result.tenants} tenant(s)",
-        table,
-    ]
-    if result.kill_shards:
-        verdict = (
-            "bit-identical through the kill"
-            if result.kill_identical
-            else f"MISMATCH: {result.kill_mismatches[:3]}"
-        )
-        lines.append(
-            f"kill pass: shard {result.kill_killed_shard}/"
-            f"{result.kill_shards} killed at request {result.kill_at}, "
-            f"{result.kill_respawns} respawn(s), "
-            f"{result.kill_degradations} degradation record(s); {verdict}"
-        )
-    return "\n".join(lines)
-
-
-def fleet_main(
-    seed: int = 0, requests: int = 1000, tenants: int = 4, shards: int = 1
-) -> int:
+def fleet_main(seed: int = 0, requests: int = 1000, tenants: int = 4) -> int:
     """CLI driver for ``repro serve --study``; exit 1 on any invariant
-    violation (result divergence, no sheds under overload, no swaps).
-    With ``shards > 1`` the sharded study also runs: bit-identity at
-    every shard count up to *shards* plus the kill/respawn pass."""
+    violation (result divergence, no sheds under overload, no swaps)."""
     result = run_fleet_study(seed=seed, requests=requests, tenants=tenants)
     print(render_fleet(result))
     ok = (
@@ -893,23 +601,6 @@ def fleet_main(
         and result.sheds > 0
         and result.swaps > 0
     )
-    if shards > 1:
-        counts = tuple(n for n in (1, 2, 4) if n <= shards)
-        if shards not in counts:
-            counts += (shards,)
-        sharded = run_sharded_study(
-            seed=seed,
-            requests=min(requests, 400),
-            tenants=tenants,
-            shard_counts=counts,
-        )
-        print(render_sharded(sharded))
-        ok = (
-            ok
-            and sharded.all_identical
-            and sharded.kill_respawns >= 1
-            and sharded.kill_degradations >= 1
-        )
     if not ok:
         print("FLEET STUDY INVARIANT VIOLATION", flush=True)
     return 0 if ok else 1

@@ -178,11 +178,8 @@ def serve_event(kind: str, **fields) -> dict:
     batch through the batched kernel; ``size`` is the hop's batch size),
     ``serve_swap`` (hot model swap), ``serve_rollback`` (post-swap
     probation failed; the tenant restored its last-good generation —
-    ``watchdog`` marks a forced re-train), ``serve_degradation`` (one
-    registry :class:`DegradationEvent` mirrored at startup), and
-    ``serve_shard`` (sharded-fleet lifecycle: a worker process spawned,
-    died, or was respawned with its tenants cold-started from the
-    envelope).
+    ``watchdog`` marks a forced re-train), and ``serve_degradation`` (one
+    registry :class:`DegradationEvent` mirrored at startup).
     """
     event = {"event": kind, "v": TELEMETRY_SCHEMA_VERSION}
     event.update(fields)
@@ -277,14 +274,6 @@ _SERVE_FIELDS: dict[str, dict[str, tuple[type, ...]]] = {
         "app": (str,),
         "size": (int,),
         "queue_depth": (int,),
-    },
-    "serve_shard": {
-        "event": (str,),
-        "v": (int,),
-        "shard": (int,),
-        "action": (str,),
-        "tenants": (list,),
-        "detail": (str, type(None)),
     },
     "serve_swap": {
         "event": (str,),

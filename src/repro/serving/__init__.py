@@ -22,7 +22,6 @@ from .protocol import (
 )
 from .registry import ModelRegistry
 from .server import FleetServer, ServerStats, serve_tcp
-from .shards import ShardRouter, shard_of
 from .tenant import Tenant, build_fleet
 
 __all__ = [
@@ -30,9 +29,7 @@ __all__ = [
     "FleetServer",
     "ModelRegistry",
     "ServerStats",
-    "ShardRouter",
     "Tenant",
-    "shard_of",
     "bad_request_response",
     "build_fleet",
     "decode_line",

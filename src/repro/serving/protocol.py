@@ -29,20 +29,6 @@ Response statuses:
 - ``500`` — the request raised inside the worker (``error`` carries the
   exception repr); the server itself keeps serving.
 
-**Sharded transport** (``repro serve --shards N``): between the router
-and a shard worker the same JSONL schema rides a *pipelined* connection —
-the router tags every request with a ``rid`` (a router-scoped integer the
-worker echoes back verbatim), so many requests can be in flight per
-connection and responses may return in completion order. ``rid`` is
-transport framing, not schema: it never reaches ``validate_request`` and
-is stripped before the response goes back to the client. Two
-router-only control ops ride the same framing: ``__sync__`` (resolve
-once every accepted request — including trailing auto-swaps — has been
-fully processed; the deterministic quiesce point before a planned kill)
-and ``__shutdown__`` (drain, persist every tenant, reply with final
-stats, close). Control ops are handled by the worker transport before
-schema validation and are never valid on the public socket.
-
 See ``docs/serving.md`` for the full surface and examples.
 """
 
@@ -55,11 +41,6 @@ OPS = ("run", "predict", "swap", "stats")
 
 #: Ops that address one tenant (and therefore require ``app``).
 TENANT_OPS = frozenset({"run", "predict", "swap"})
-
-#: Router→worker control ops (pipelined shard transport only).
-SHARD_SYNC_OP = "__sync__"
-SHARD_SHUTDOWN_OP = "__shutdown__"
-SHARD_CONTROL_OPS = frozenset({SHARD_SYNC_OP, SHARD_SHUTDOWN_OP})
 
 
 def validate_request(request: object) -> list[str]:

@@ -21,9 +21,10 @@ bumped by every hot swap (offline ``refit_all`` + atomic forest-pointer
 flip). Responses carry the generation that served them, so operators can
 correlate behavior changes with swaps. Generations persist beside the
 state file in a per-tenant ``<app>.gen`` sidecar (atomic write, lenient
-read), one file per tenant so disjoint shard workers over one registry
-root never contend — a respawned shard restores both the model *and* the
-generation counter its responses must keep reporting.
+read), one file per tenant so a swap publishes only its own tenant's
+counters and a torn sidecar resets one tenant, never the fleet. A
+restarted server (a fresh registry over the same root) restores both the
+model *and* the generation counter its responses must keep reporting.
 """
 
 from __future__ import annotations

@@ -100,7 +100,7 @@ class ServerStats:
 
     def to_dict(self) -> dict:
         """:meth:`snapshot` plus the batch-size distribution (the
-        ``stats`` op payload and the shard-router merge input)."""
+        ``stats`` op payload)."""
         payload = self.snapshot()
         payload["batch_sizes"] = {
             "count": self.batch_hops,

@@ -104,15 +104,6 @@ def synthetic_report(
                     "max": kernel_speedup,
                 },
             },
-            "shard_scaling": {
-                "requests": 160,
-                "tenants": 3,
-                "points": [
-                    {"shards": 1, "wall_s": 0.4, "rps": 400.0},
-                    {"shards": 2, "wall_s": 0.25, "rps": 640.0},
-                ],
-                "identical_to_serial": True,
-            },
         },
         "datagen": {
             "fork": {
@@ -166,11 +157,6 @@ def test_valid_report_passes():
         lambda r: r["serving"].pop("batch_kernel"),
         lambda r: r["serving"]["batch_kernel"].update(identical=False),
         lambda r: r["serving"]["batch_kernel"]["rows"][0].update(speedup=0),
-        lambda r: r["serving"].pop("shard_scaling"),
-        lambda r: r["serving"]["shard_scaling"].update(
-            identical_to_serial=False
-        ),
-        lambda r: r["serving"]["shard_scaling"].update(points=[]),
         lambda r: r.pop("datagen"),
         lambda r: r["datagen"]["fork"].update(identical_labels=False),
         lambda r: r["datagen"]["fork"].update(speedup=0),
@@ -197,9 +183,6 @@ def test_valid_report_passes():
         "missing-batch-kernel",
         "batch-kernel-diverged",
         "batch-kernel-zero-speedup",
-        "missing-shard-scaling",
-        "shard-scaling-diverged",
-        "shard-scaling-no-points",
         "missing-datagen",
         "fork-labels-diverged",
         "zero-fork-speedup",
@@ -376,13 +359,10 @@ def test_checked_in_baseline_is_valid():
     assert baseline["serving"]["swaps"] > 0
     assert baseline["serving"]["sheds"] > 0
     # Batched inference kernel: at least 2x over per-row predicts at
-    # batch sizes >= 16 with outputs checked bit-identical (the sharded
-    # serving acceptance bar), and every shard count bit-identical to
-    # serial replay.
+    # batch sizes >= 16 with outputs checked bit-identical.
     kernel = baseline["serving"]["batch_kernel"]
     assert kernel["speedup"]["geomean"] >= 2.0
     assert kernel["identical"] is True
-    assert baseline["serving"]["shard_scaling"]["identical_to_serial"] is True
     # Forked-run labeling: at least 3x over independent runs at
     # bit-identical labels (the forge acceptance bar).
     assert baseline["datagen"]["fork"]["speedup"] >= 3.0

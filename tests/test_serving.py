@@ -8,10 +8,14 @@ The contracts under test (docs/serving.md):
   envelope: corruption quarantines and cold-starts, never crashes, and
   ``repro serve`` surfaces a degraded registry loudly (stderr +
   ``serve_degradation`` telemetry) instead of booting silently empty;
+- a restart restores each tenant's model generation from its ``.gen``
+  sidecar, and an unreadable sidecar resets only that counter, recorded;
 - the shared predict-result cache is content-addressed by model
   fingerprint, so a hot swap can never serve a stale generation's answer
   while a restart of the *same* model keeps its entries warm;
-- the TCP transport round-trips requests as JSON lines.
+- the TCP transport round-trips requests as JSON lines;
+- admission control sheds a flooded predict queue deterministically, by
+  submission order.
 """
 
 import asyncio
@@ -119,6 +123,36 @@ class TestModelRegistry:
         assert registry.note_swap("toy") == 1
         assert registry.note_swap("toy") == 2
 
+    def test_generation_restored_by_fresh_registry(self, toy_app, tmp_path):
+        """A restarted server (fresh registry over the same root) keeps
+        reporting the generation its last swap published."""
+        registry = ModelRegistry(tmp_path)
+        registry.load_into(EvolvableVM(toy_app))
+        registry.note_swap("toy")
+        registry.note_swap("toy")
+        restarted = ModelRegistry(tmp_path)
+        restarted.load_into(EvolvableVM(toy_app))
+        assert restarted.generations["toy"] == 2
+        assert restarted.note_swap("toy") == 3
+        assert restarted.report.count(action="generation-reset") == 0
+
+    def test_unreadable_generation_sidecar_resets_to_zero(
+        self, toy_app, tmp_path
+    ):
+        registry = ModelRegistry(tmp_path)
+        registry.load_into(EvolvableVM(toy_app))
+        registry.note_swap("toy")
+        registry.generation_path("toy").write_bytes(b"{torn")
+        restarted = ModelRegistry(tmp_path)
+        restarted.load_into(EvolvableVM(toy_app))
+        assert restarted.generations["toy"] == 0
+        (event,) = [
+            event for event in restarted.report.events
+            if event.action == "generation-reset"
+        ]
+        assert event.reason == "unreadable-sidecar"
+        assert "toy" in event.detail
+
     def test_missing_state_is_a_quiet_cold_start(self, toy_app, tmp_path):
         registry = ModelRegistry(tmp_path / "never_written")
         registry.load_into(EvolvableVM(toy_app))
@@ -204,6 +238,12 @@ class TestServeTelemetrySchema:
         for event in events:
             assert validate_event(event) == [], event
 
+    def test_serve_batch_event_validates(self):
+        event = serve_event(
+            "serve_batch", app="search-svc", size=7, queue_depth=3
+        )
+        assert validate_event(event) == []
+
     def test_missing_fields_rejected(self):
         assert validate_event(serve_event("serve_shed", app="a"))
         assert validate_event({"event": "serve_nonsense", "v": 1})
@@ -286,3 +326,59 @@ class TestTcpTransport:
         assert by_id[3]["server"]["served"] >= 2
         assert by_id[4]["status"] == 404
         assert by_id[None]["status"] == 400  # the unparseable line
+
+
+@pytest.mark.serve
+class TestDeterministic429Ordering:
+    def test_flooded_predicts_shed_by_submission_order(self, toy_app):
+        """Satellite contract: under a full queue the batched predict
+        path sheds deterministically — admission is exactly the first
+        ``queue_bound`` submissions, in order, every time."""
+        bound, flood = 3, 12
+
+        def flood_once():
+            async def scenario():
+                registry = ModelRegistry(None)
+                server = FleetServer(
+                    build_fleet([toy_app], registry=registry,
+                                refit_interval=None),
+                    registry,
+                    queue_bound=bound,
+                )
+                await server.start()
+                # Train enough that predicts exercise real models.
+                for i in range(4):
+                    await server.submit({
+                        "op": "run", "app": "toy",
+                        "cmdline": f"-m {1 + i % 2} -n {50 + 1150 * (i % 2)}",
+                        "seed": i,
+                    })
+                futures = [
+                    server.submit_nowait({
+                        "op": "predict", "app": "toy",
+                        "cmdline": f"-m 1 -n {100 + i}", "id": i,
+                    })
+                    for i in range(flood)
+                ]
+                responses = await asyncio.gather(*futures)
+                await server.stop(persist=False)
+                return server, responses
+
+            return asyncio.run(scenario())
+
+        server, first = flood_once()
+        _, second = flood_once()
+        statuses = [response["status"] for response in first]
+        # Order is deterministic: the first `bound` submissions are the
+        # accepted ones; everything after sheds. No interleaving.
+        assert statuses == [200] * bound + [429] * (flood - bound)
+        assert [r["status"] for r in second] == statuses
+        assert [r["id"] for r in first] == list(range(flood))
+        # The accepted run drained as one batched kernel hop.
+        assert server.stats.shed == flood - bound
+        assert server.stats.batch_hops >= 1
+        assert server.stats.batch_size_max <= server.batch_max
+        dist = server.stats.to_dict()["batch_sizes"]
+        assert dist["count"] == server.stats.batch_hops
+        assert dist["max"] == server.stats.batch_size_max
+        assert dist["mean"] > 0
