@@ -32,13 +32,13 @@ def trained_builder():
     return builder
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("engine", ["reference", "auto"])
 def test_training_throughput(benchmark, trained_builder, engine):
     dataset = trained_builder.model_for("method_000").dataset
 
     def fit():
         matrix = (
-            TrainingMatrix.from_dataset(dataset) if engine == "fast" else None
+            TrainingMatrix.from_dataset(dataset) if engine == "auto" else None
         )
         tree = ClassificationTree(LEARN_PARAMS, engine=engine).fit(
             dataset, matrix=matrix
@@ -53,7 +53,7 @@ def test_refit_all_shared_presort(benchmark):
     history = synthetic_history(METHODS, RUNS, seed=0)
 
     def construct():
-        builder = ModelBuilder(LEARN_PARAMS, engine="fast")
+        builder = ModelBuilder(LEARN_PARAMS, engine="auto")
         for vector, ideal in history:
             builder.observe_run(vector, ideal)
         builder.refit_all()

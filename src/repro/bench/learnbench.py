@@ -7,8 +7,8 @@ synthetic Table-I-scale workload (one feature matrix shared by ~a hundred
 per-method models, mixed numeric/categorical features, ~5% missing). It
 reports three things:
 
-1. **Training throughput** — a full fast-engine ``refit_all`` over every
-   method model (shared presort + sweep-line split search), in training
+1. **Training throughput** — a full ``"auto"``-engine ``refit_all`` over
+   every method model (shared presort + sweep-line split search), in training
    rows per second.
 2. **Speedup vs. reference** — the reference builder is timed on a small
    method subset (it is too slow to run over all of them) against the
@@ -91,14 +91,14 @@ def synthetic_history(
 
 
 def _build_trained(methods: int, runs: int, seed: int = 0) -> ModelBuilder:
-    builder = ModelBuilder(LEARN_PARAMS, engine="fast")
+    builder = ModelBuilder(LEARN_PARAMS, engine="auto")
     for vector, ideal in synthetic_history(methods, runs, seed=seed):
         builder.observe_run(vector, ideal)
     return builder
 
 
 def bench_training(quick: bool = False) -> tuple[ModelBuilder, dict]:
-    """Time one full fast-engine offline-construction pass."""
+    """Time one full ``"auto"``-engine offline-construction pass."""
     methods, runs = _SIZES["quick" if quick else "full"]
     builder = _build_trained(methods, runs)
     start = time.perf_counter()
@@ -140,7 +140,7 @@ def bench_speedup(
             ref_walls.append(time.perf_counter() - start)
             start = time.perf_counter()
             matrix = TrainingMatrix.from_dataset(dataset)
-            fast_tree = ClassificationTree(LEARN_PARAMS, engine="fast").fit(
+            fast_tree = ClassificationTree(LEARN_PARAMS, engine="auto").fit(
                 dataset, matrix=matrix
             )
             fast_walls.append(time.perf_counter() - start)

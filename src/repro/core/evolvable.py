@@ -93,8 +93,6 @@ class EvolvableVM:
         gc_model: GCCostModel = GCCostModel(),
         default_gc_policy: str = DEFAULT_GC_POLICY,
         cache_translations: bool = False,
-        learning_engine: str = "auto",
-        refit_jobs: int = 1,
         defer_refits: bool = False,
         engine: str = "auto",
         prior=None,
@@ -112,11 +110,6 @@ class EvolvableVM:
         self.engine = engine
         self.jit = jit if jit is not None else JITCompiler(app.program, config)
         self.cost_benefit = CostBenefitModel(self.jit, config.sample_interval)
-        #: Training-engine knob for the learning layer ("auto"/"fast"/
-        #: "reference"); refit_jobs > 1
-        #: fans the end-of-run model refits across worker processes.
-        self.learning_engine = learning_engine
-        self.refit_jobs = refit_jobs
         #: Optional cross-program prior
         #: (:class:`~repro.learning.forge.prior.CrossProgramPrior`, or any
         #: object with ``predict_program(program, args) -> dict[str, int]``):
@@ -136,10 +129,7 @@ class EvolvableVM:
             prior.predict_program(app.program) if prior is not None else {}
         )
         self.models = ModelBuilder(
-            tree_params,
-            min_rows=min_rows,
-            engine=learning_engine,
-            prior_levels=prior_levels,
+            tree_params, min_rows=min_rows, prior_levels=prior_levels
         )
         self.confidence = ConfidenceTracker(gamma=gamma, threshold=threshold)
         self.predictor = StrategyPredictor(self.models, self.confidence, overhead)
@@ -154,7 +144,6 @@ class EvolvableVM:
                 gc_model=gc_model,
                 default_policy=default_gc_policy,
                 min_rows=min_rows,
-                engine=learning_engine,
             )
             if select_gc
             else None
@@ -317,7 +306,7 @@ class EvolvableVM:
                 if self.defer_refits:
                     self.models.refit_methods(drifted)
             if not self.defer_refits:
-                self.models.refit_all(jobs=self.refit_jobs)
+                self.models.refit_all()
             outcome.predicted = scored
             outcome.ideal = ideal
             outcome.accuracy = accuracy

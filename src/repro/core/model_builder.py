@@ -13,9 +13,9 @@ Performance shape (the paper's premise is that both sides stay cheap):
   dataset holds the *same* feature matrix — only labels differ — so one
   :class:`~repro.learning.matrix.MatrixCache` is shared across all
   classifiers and each distinct matrix is presorted once per pass, not
-  once per method. Refits optionally fan out across processes through
-  :func:`~repro.experiments.parallel.map_parallel` with a deterministic
-  by-method merge. After fitting, the trees are compiled into a
+  once per method. The fits run in-process: they cover tens to a few
+  thousand rows, so a process pool would cost more than it saves. After
+  fitting, the trees are compiled into a
   :class:`~repro.learning.flat.FlatForest`.
 - **Prediction** (:meth:`predict` / :meth:`predict_all`, run start): one
   pass of the flattened forest — the input vector is projected onto the
@@ -29,39 +29,9 @@ from __future__ import annotations
 from ..aos.strategy import LevelStrategy
 from ..learning.flat import FlatForest, compile_forest
 from ..learning.incremental import IncrementalClassifier
-from ..learning.matrix import MatrixCache, TrainingMatrix, matrix_key
-from ..learning.tree import ENGINES, ClassificationTree, TreeParams
+from ..learning.matrix import MatrixCache
+from ..learning.tree import ENGINES, TreeParams
 from ..xicl.features import FeatureVector
-
-
-def _refit_group(item: tuple) -> list:
-    """Worker for parallel offline construction: fit one matrix cohort.
-
-    *item* is ``(columns, kinds, rows_x, engine, entries)`` where entries
-    are ``(method, labels, params)`` — every method in the group shares
-    the same feature matrix, which is presorted exactly once here.
-    Returns ``[(method, root_node), ...]`` in entry order.
-    """
-    from ..learning.fasttree import build_tree
-    from ..learning.dataset import Dataset, Row
-
-    columns, kinds, rows_x, engine, entries = item
-    out = []
-    if engine == "reference":
-        for method, labels, params in entries:
-            ds = Dataset()
-            ds._columns = list(columns)
-            ds._kinds = dict(zip(columns, kinds))
-            ds._rows = [
-                Row(values, label) for values, label in zip(rows_x, labels)
-            ]
-            tree = ClassificationTree(params, engine="reference").fit(ds)
-            out.append((method, tree.root))
-    else:
-        matrix = TrainingMatrix(columns, kinds, rows_x)
-        for method, labels, params in entries:
-            out.append((method, build_tree(matrix, labels, params)))
-    return out
 
 
 class ModelBuilder:
@@ -76,7 +46,7 @@ class ModelBuilder:
     ):
         if engine not in ENGINES:
             raise ValueError(
-                f"engine must be 'auto', 'fast', or 'reference', got {engine!r}"
+                f"engine must be 'auto' or 'reference', got {engine!r}"
             )
         self.tree_params = tree_params
         self.min_rows = min_rows
@@ -111,57 +81,12 @@ class ModelBuilder:
                 self._models[method] = model
             model.observe(fvector, level)
 
-    def refit_all(self, jobs: int = 1) -> None:
-        """Offline model construction: rebuild every method's tree.
-
-        With ``jobs > 1`` the per-method fits fan out through
-        :func:`~repro.experiments.parallel.map_parallel`, grouped by
-        shared feature matrix so each worker presorts its cohort's matrix
-        once; results merge deterministically by method (bit-identical to
-        the serial path, which a test asserts). Either way the fitted
-        trees are recompiled into the flattened prediction forest.
-        """
-        if jobs > 1 and len(self._models) > 1:
-            self._refit_parallel(jobs)
-        else:
-            for model in self._models.values():
-                model.refit()
+    def refit_all(self) -> None:
+        """Offline model construction: rebuild every method's tree, then
+        recompile the fitted trees into the flattened prediction forest."""
+        for model in self._models.values():
+            model.refit()
         self._compile_forest()
-
-    def _refit_parallel(self, jobs: int) -> None:
-        from ..experiments.parallel import map_parallel
-
-        groups: dict[tuple, list] = {}
-        skipped: list[IncrementalClassifier] = []
-        for method in sorted(self._models):
-            model = self._models[method]
-            if len(model.dataset) < model.min_rows:
-                skipped.append(model)
-                continue
-            try:
-                key = matrix_key(model.dataset)
-            except TypeError:  # unhashable feature value: fit in-process
-                model.refit()
-                continue
-            labels = model.dataset.labels()
-            groups.setdefault(key, []).append((method, labels, model.params))
-        items = [
-            (columns, kinds, rows_x, self.engine, entries)
-            for (columns, kinds, rows_x), entries in groups.items()
-        ]
-        results, _ = map_parallel(_refit_group, items, jobs)
-        for fitted in results:
-            for method, root in fitted:
-                model = self._models[method]
-                tree = ClassificationTree(model.params, engine=model.engine)
-                tree.root = root
-                tree._dataset = model.dataset
-                tree._dataset_columns = model.dataset.columns
-                model.adopt_tree(tree)
-                model.fit_count += 1
-        for model in skipped:
-            # Mirror serial refit(): too little history keeps the old tree.
-            model._stale = False
 
     def reset(self) -> None:
         """Discard all learned state — models, presort cache, compiled

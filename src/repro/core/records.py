@@ -143,7 +143,7 @@ def load_state(vm: EvolvableVM, state: dict) -> None:
     # One offline-construction pass rebuilds every method tree (shared
     # presort across methods) and compiles the flattened prediction
     # forest, so the first run after restore predicts without training.
-    vm.models.refit_all(jobs=vm.refit_jobs)
+    vm.models.refit_all()
 
 
 def restore_state(vm: EvolvableVM, state: dict) -> None:
@@ -163,7 +163,7 @@ def restore_state(vm: EvolvableVM, state: dict) -> None:
     vm.run_count = run_count
     for vector, strategy in observations:
         vm.models.observe_run(vector, strategy)
-    vm.models.refit_all(jobs=vm.refit_jobs)
+    vm.models.refit_all()
     if vm.drift is not None:
         vm.drift.reset()
 

@@ -127,7 +127,7 @@ def _train_prior(
     """
     if cache_dir is not None and any(Path(cache_dir).glob("shard-*.bin")):
         prior = CrossProgramPrior(min_rows=8)
-        prior.fit_from_store(ShardStore(cache_dir), jobs=jobs)
+        prior.fit_from_store(ShardStore(cache_dir))
         return prior
     with tempfile.TemporaryDirectory() as tmp:
         _stats, prior = run_forge(

@@ -65,12 +65,12 @@ def run_figure9(
 
     # Rep from the histogram of all runs (no warm-up): replay the same
     # sequence against the frozen, fully-informed repository strategy.
-    rep_vm = RepVM(result.app, config=config)
+    rep_machine = RepVM(result.app, config=config)
     for outcome in result.default:
-        rep_vm.repository.record_run(outcome.profile)
-    rep_vm.frozen_strategy = rep_vm.repository.strategy()
+        rep_machine.repository.record_run(outcome.profile)
+    rep_machine.frozen_strategy = rep_machine.repository.strategy()
     rep_outcomes = [
-        rep_vm.run(result.inputs[input_index].cmdline, rng_seed=run_index)
+        rep_machine.run(result.inputs[input_index].cmdline, rng_seed=run_index)
         for run_index, input_index in enumerate(result.sequence)
     ]
 

@@ -2,16 +2,13 @@
 
 The serial runner executes one benchmark's scenarios run by run; a full
 Figure 8/9/10 + Table I sweep is therefore dominated by wall-clock. This
-engine splits a sweep into independent **cells** and executes them on a
-``concurrent.futures.ProcessPoolExecutor``, at two grain levels:
-
-- ``grain="benchmark"`` — one job per benchmark (all scenarios, the whole
-  run sequence). Coarse, minimal orchestration overhead.
-- ``grain="cell"`` (default) — jobs per scenario within a benchmark.
-  The **stateful** scenarios (``rep``, ``evolve``: the VM learns across
-  the run sequence) each form one cell spanning all runs; the
-  **stateless** scenarios (``default``, ``phase``: every run is
-  independent) split further into fixed-size run ranges.
+engine splits a sweep into independent **cells** — jobs per scenario
+within a benchmark — and executes them on a
+``concurrent.futures.ProcessPoolExecutor``. The **stateful** scenarios
+(``rep``, ``evolve``: the VM learns across the run sequence) each form
+one cell spanning all runs; the **stateless** scenarios (``default``,
+``phase``: every run is independent) split further into fixed-size run
+ranges.
 
 Determinism is preserved exactly: every cell derives the same input
 sequence from the experiment seed, uses the global run index as the
@@ -151,7 +148,6 @@ def plan_cells(
     runs: int | None = None,
     config: VMConfig = DEFAULT_CONFIG,
     scenarios: tuple[str, ...] = ("default", "rep", "evolve"),
-    grain: str = "cell",
     chunk: int = DEFAULT_CHUNK,
     gamma: float | None = None,
     threshold: float | None = None,
@@ -162,8 +158,6 @@ def plan_cells(
     engine: str = "auto",
 ) -> list[CellSpec]:
     """Split one benchmark's experiment into independent cell specs."""
-    if grain not in ("benchmark", "cell"):
-        raise ValueError(f"unknown grain {grain!r}")
     if sequence is not None and drift is not None:
         raise ValueError("pass either an explicit sequence or a drift spec")
     n_runs = runs if runs is not None else bench.runs
@@ -186,9 +180,6 @@ def plan_cells(
             jit_cache_dir=jit_cache_dir,
             engine=engine,
         )
-
-    if grain == "benchmark":
-        return [spec(tuple(scenarios), 0, len(seq))]
 
     cells: list[CellSpec] = []
     for scenario in scenarios:
@@ -248,7 +239,7 @@ def execute_cell(spec: CellSpec) -> dict:
     if spec.tree_params is not None:
         evolve_kwargs["tree_params"] = spec.tree_params
     evolve_vm = EvolvableVM(app, **evolve_kwargs) if "evolve" in spec.scenarios else None
-    rep_vm = (
+    rep_machine = (
         RepVM(app, config=spec.config, jit=jit, engine=spec.engine)
         if "rep" in spec.scenarios
         else None
@@ -271,7 +262,7 @@ def execute_cell(spec: CellSpec) -> dict:
                     rng_seed=run_index, engine=spec.engine,
                 )
             elif scenario == "rep":
-                outcome = rep_vm.run(cmdline, rng_seed=run_index)
+                outcome = rep_machine.run(cmdline, rng_seed=run_index)
             elif scenario == "evolve":
                 outcome = evolve_vm.run(cmdline, rng_seed=run_index)
             elif scenario == "phase":
@@ -376,27 +367,12 @@ def _resolve_jobs(jobs: int | None) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _apply_chunk(item: tuple) -> list:
-    """Worker for chunked :func:`map_parallel`: one pool hop per chunk."""
-    worker, chunk = item
-    return [worker(x) for x in chunk]
-
-
-def map_parallel(
-    worker, items: list, jobs: int, *, chunksize: int = 1
-) -> tuple[list, bool]:
+def map_parallel(worker, items: list, jobs: int) -> tuple[list, bool]:
     """Apply picklable *worker* to every item, preferring a process pool.
 
     Returns ``(results, parallel)`` with results in item order. Falls back
     to in-process execution when the platform forbids multiprocessing
     (sandboxes without semaphore support), so callers always get results.
-
-    *chunksize* batches consecutive items into one pool submission each,
-    amortizing pickle/IPC overhead when items are tiny (the forge's
-    per-program chunks already batch, but per-method refit groups are
-    single dict entries). Results are flattened back into item order, so
-    any chunksize returns the identical result list — only the transport
-    granularity changes.
 
     This is the *plain* fan-out primitive: there are no retries, no
     per-item timeouts, and no fault isolation — an exception in *worker*
@@ -404,22 +380,12 @@ def map_parallel(
     dead-worker recovery / deadline semantics go through
     :func:`run_sweep`'s resilient cell executor instead (behaviour
     documented in ``docs/robustness.md``). Direct callers today are the
-    fuzz harness (iteration chunks) and
-    :meth:`~repro.core.model_builder.ModelBuilder.refit_all`, which the
-    serving layer uses for offline refits between hot model swaps.
+    fuzz harness (iteration chunks) and the forge labeler (program
+    chunks).
     """
-    if chunksize < 1:
-        raise ValueError("chunksize must be >= 1")
     if not items:
         return [], False
     if jobs > 1 and len(items) > 1:
-        if chunksize > 1:
-            chunks = [
-                (worker, items[i : i + chunksize])
-                for i in range(0, len(items), chunksize)
-            ]
-            chunked, parallel = map_parallel(_apply_chunk, chunks, jobs)
-            return [result for chunk in chunked for result in chunk], parallel
         results: dict[int, object] = {}
         try:
             with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
@@ -715,7 +681,6 @@ def run_sweep(
     runs: int | None = None,
     config: VMConfig = DEFAULT_CONFIG,
     scenarios: tuple[str, ...] = ("default", "rep", "evolve"),
-    grain: str = "cell",
     chunk: int = DEFAULT_CHUNK,
     gamma: float | None = None,
     threshold: float | None = None,
@@ -736,8 +701,8 @@ def run_sweep(
     Returns a :class:`SweepReport` whose ``results`` list parallels
     *benchmarks*; each :class:`ExperimentResult` is assembled in run order
     and is bitwise-identical to what the serial runner produces for the
-    same arguments. ``evolve_vm``/``rep_vm`` are ``None`` (the live VMs
-    stay in the workers); ``evolve_summary`` carries the model snapshot.
+    same arguments. ``evolve_vm`` is ``None`` (the live VM stays in the
+    workers); ``evolve_summary`` carries the model snapshot.
 
     Failure handling: a raising cell is retried up to *retries* times
     with exponential backoff (``backoff_s`` base); dead workers trigger
@@ -759,7 +724,6 @@ def run_sweep(
             runs=runs,
             config=config,
             scenarios=tuple(scenarios),
-            grain=grain,
             chunk=chunk,
             gamma=gamma,
             threshold=threshold,
@@ -884,7 +848,6 @@ def run_experiment_parallel(
     runs: int | None = None,
     config: VMConfig = DEFAULT_CONFIG,
     scenarios: tuple[str, ...] = ("default", "rep", "evolve"),
-    grain: str = "cell",
     gamma: float | None = None,
     threshold: float | None = None,
     tree_params: TreeParams | None = None,
@@ -911,7 +874,6 @@ def run_experiment_parallel(
         runs=runs,
         config=config,
         scenarios=scenarios,
-        grain=grain,
         gamma=gamma,
         threshold=threshold,
         tree_params=tree_params,

@@ -36,9 +36,9 @@ class ExperimentResult:
     per executed scenario (Default, Rep, Evolve, and optionally the
     phase-based comparator).
 
-    ``evolve_vm``/``rep_vm`` hold the live scenario VMs when the serial
-    runner produced the result; the parallel engine leaves them ``None``
-    (they stay in the worker processes) and fills ``evolve_summary`` —
+    ``evolve_vm`` holds the live evolve-scenario VM when the serial
+    runner produced the result; the parallel engine leaves it ``None``
+    (it stays in a worker process) and fills ``evolve_summary`` —
     the pickle-safe model snapshot — instead. The serial runner populates
     ``evolve_summary`` too, so reports can rely on it either way.
     """
@@ -52,7 +52,6 @@ class ExperimentResult:
     evolve: list[RunOutcome] = field(default_factory=list)
     phase: list[RunOutcome] = field(default_factory=list)
     evolve_vm: EvolvableVM | None = None
-    rep_vm: RepVM | None = None
     evolve_summary: dict | None = None
     #: The non-stationary input schedule the sequence was drawn from,
     #: when the experiment ran under drift (``None`` = the paper's
@@ -162,9 +161,8 @@ def run_experiment(
     if tree_params is not None:
         evolve_kwargs["tree_params"] = tree_params
     evolve_vm = EvolvableVM(app, **evolve_kwargs)
-    rep_vm = RepVM(app, config=config, jit=jit, engine=engine)
+    rep_machine = RepVM(app, config=config, jit=jit, engine=engine)
     result.evolve_vm = evolve_vm
-    result.rep_vm = rep_vm
 
     for run_index, input_index in enumerate(sequence):
         cmdline = inputs[input_index].cmdline
@@ -176,7 +174,7 @@ def run_experiment(
                 )
             )
         if "rep" in scenarios:
-            result.rep.append(rep_vm.run(cmdline, rng_seed=run_index))
+            result.rep.append(rep_machine.run(cmdline, rng_seed=run_index))
         if "evolve" in scenarios:
             result.evolve.append(evolve_vm.run(cmdline, rng_seed=run_index))
         if "phase" in scenarios:

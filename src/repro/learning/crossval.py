@@ -40,7 +40,7 @@ def cross_validated_accuracy(
     Returns 0.0 for datasets too small to validate at all (a single row),
     keeping early-history confidence conservative.
 
-    On the fast engine every fold fit reuses **one** shared presorted
+    On the ``"auto"`` engine every fold fit reuses **one** shared presorted
     :class:`~repro.learning.matrix.TrainingMatrix` of the full dataset
     (fold trees are bit-identical to fitting on a per-fold subset, so
     scores match the reference engine exactly).

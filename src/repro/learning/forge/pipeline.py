@@ -6,14 +6,16 @@ several inputs by the forked-run labeler (one shared
 :class:`~repro.vm.opt.jit.JITCompiler` and plan cache per program, so
 host codegen amortizes across inputs), rows stream through a
 :class:`~.shards.ShardWriter`, and a :class:`~.prior.CrossProgramPrior`
-trains on the result via ``refit_all(jobs=N)``.
+trains on the result in-process via ``refit_all()``. Only labeling fans
+out across processes; training is a small fraction of a forge run.
 
 Determinism: the work list is chunked by a *fixed* chunk size (not by
 ``jobs``), chunks are generated independently (pure ``(seed, index)``
 streams), and :func:`~repro.experiments.parallel.map_parallel` returns
 results in item order — so the shard stream, and therefore the trained
 prior, is bit-identical across ``jobs`` settings and across the
-inline-fallback path.
+inline-fallback path (``tests/test_forge.py`` compares ``prior.bin``
+bytes).
 """
 
 from __future__ import annotations
@@ -232,7 +234,6 @@ def run_forge(
     shard_rows: int = 50_000,
     max_instructions: int | None = None,
     train: bool = True,
-    train_jobs: int | None = None,
     prior_min_rows: int = 8,
     prior_tree_params=None,
     engine: str = "auto",
@@ -291,9 +292,7 @@ def run_forge(
         else:
             prior = CrossProgramPrior(min_rows=prior_min_rows, engine=engine)
         t0 = time.perf_counter()
-        prior.fit_from_store(
-            ShardStore(out_dir), jobs=train_jobs if train_jobs else jobs
-        )
+        prior.fit_from_store(ShardStore(out_dir))
         stats.train_s = time.perf_counter() - t0
         if stats.train_s > 0:
             stats.rows_per_s_trained = stats.rows / stats.train_s

@@ -10,7 +10,7 @@ global ``"*"`` cluster that absorbs everything. Prediction for an
 unseen program's method resolves the most specific fitted cluster.
 
 The prior *is* a :class:`ModelBuilder` whose "methods" are clusters:
-training reuses ``refit_all(jobs=N)`` — shared presort cache, parallel
+training reuses ``refit_all()`` — shared presort cache, in-process
 offline construction, flattened forest — unchanged. Rows are appended
 directly to the per-cluster datasets (the schema is fixed by
 :func:`~.features.forge_columns`, so no per-row column alignment is
@@ -89,15 +89,15 @@ class CrossProgramPrior:
             model._stale = True
         self.rows_trained += 1
 
-    def fit_from_store(self, store: ShardStore, jobs: int = 1) -> None:
+    def fit_from_store(self, store: ShardStore) -> None:
         """Load every shard, fan rows into clusters, refit all models.
 
         The global cluster's rows are exactly the shard concatenation,
         so its presorted matrix is obtained by *merging* the per-shard
         presorts (:func:`~.shards.merge_matrices`) and primed into the
         builder's shared matrix cache rather than re-sorted from
-        scratch. ``refit_all(jobs)`` then trains every cluster through
-        the standard offline-construction path.
+        scratch. ``refit_all()`` then trains every cluster through the
+        standard offline-construction path.
         """
         columns = forge_columns()
         shard_matrices = []
@@ -120,10 +120,7 @@ class CrossProgramPrior:
                 cache._entries[matrix_key(global_ds)] = merged
             except TypeError:  # unhashable value: skip priming
                 pass
-        self.refit(jobs=jobs)
-
-    def refit(self, jobs: int = 1) -> None:
-        self._builder.refit_all(jobs=jobs)
+        self._builder.refit_all()
 
     # -- prediction ---------------------------------------------------------
     def predict_level(

@@ -34,7 +34,7 @@ class IncrementalClassifier:
     ):
         if engine not in ENGINES:
             raise ValueError(
-                f"engine must be 'auto', 'fast', or 'reference', got {engine!r}"
+                f"engine must be 'auto' or 'reference', got {engine!r}"
             )
         self.params = params
         self.min_rows = min_rows
@@ -90,11 +90,6 @@ class IncrementalClassifier:
                 self.dataset, matrix=matrix
             )
             self.fit_count += 1
-        self._stale = False
-
-    def adopt_tree(self, tree: ClassificationTree) -> None:
-        """Install a tree fitted elsewhere (the parallel offline path)."""
-        self._tree = tree
         self._stale = False
 
     @property

@@ -90,7 +90,7 @@ class TreeParams:
 
 
 #: Valid values for the training-engine knob (mirrors the interpreter's).
-ENGINES = ("auto", "fast", "reference")
+ENGINES = ("auto", "reference")
 
 
 class ClassificationTree:
@@ -101,10 +101,9 @@ class ClassificationTree:
 
     - ``"reference"`` — the original per-threshold rescan below, kept
       verbatim as the executable specification;
-    - ``"fast"`` — the sweep-line builder over a shared presorted
-      :class:`~repro.learning.matrix.TrainingMatrix`
-      (:mod:`repro.learning.fasttree`);
-    - ``"auto"`` (default) — the fast builder.
+    - ``"auto"`` (default) — the sweep-line builder over a shared
+      presorted :class:`~repro.learning.matrix.TrainingMatrix`
+      (:mod:`repro.learning.fasttree`).
 
     ``tests/test_learning_equivalence.py`` holds the engines to
     bit-identity the same way the VM's engine-equivalence suite does.
@@ -113,7 +112,7 @@ class ClassificationTree:
     def __init__(self, params: TreeParams = TreeParams(), engine: str = "auto"):
         if engine not in ENGINES:
             raise ValueError(
-                f"engine must be 'auto', 'fast', or 'reference', got {engine!r}"
+                f"engine must be 'auto' or 'reference', got {engine!r}"
             )
         self.params = params
         self.engine = engine
@@ -133,7 +132,7 @@ class ClassificationTree:
         *matrix* optionally supplies a presorted
         :class:`~repro.learning.matrix.TrainingMatrix` of the dataset's
         features (the shared-presort path); it is only consulted by the
-        fast engine and must describe exactly *dataset*'s rows.
+        ``"auto"`` engine and must describe exactly *dataset*'s rows.
         """
         if len(dataset) == 0:
             raise ValueError("cannot fit a tree on an empty dataset")
@@ -155,9 +154,9 @@ class ClassificationTree:
     ) -> "ClassificationTree":
         """Fit on a row subset of *dataset* (cross-validation folds).
 
-        Equivalent to ``fit(dataset.subset(indices))`` but — on the fast
-        engine — reuses one shared presorted *matrix* of the full dataset
-        across every fold instead of re-sorting per fold.
+        Equivalent to ``fit(dataset.subset(indices))`` but — on the
+        ``"auto"`` engine — reuses one shared presorted *matrix* of the
+        full dataset across every fold instead of re-sorting per fold.
         """
         if not indices:
             raise ValueError("cannot fit a tree on an empty dataset")

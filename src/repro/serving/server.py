@@ -31,9 +31,9 @@ Architecture (``docs/serving.md`` has the operator-facing picture):
   :class:`~repro.resilience.degradation.DegradationReport` summary on
   stderr and emits ``serve_degradation`` + ``serve_start`` telemetry.
 
-The offline side of a swap reuses the existing process-pool engine:
-``refit_all(jobs=N)`` fans per-method tree construction through
-:func:`~repro.experiments.parallel.map_parallel`.
+The offline side of a swap is an in-process ``refit_all`` on the
+tenant's worker thread: per-method fits over at most a few thousand
+rows, too small to pay for a process pool.
 """
 
 from __future__ import annotations

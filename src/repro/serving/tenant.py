@@ -8,10 +8,9 @@ learner), but — unlike the batch Figure-7 loop — the end-of-run
 still observe their posterior ideal strategies and update confidence;
 model construction happens only at an explicit **swap** point:
 
-    swap = offline ``refit_all`` (optionally fanned across processes via
-    ``map_parallel``) + one atomic flip of the compiled
-    :class:`~repro.learning.flat.FlatForest` pointer + a registry
-    generation bump + a crash-safe state save.
+    swap = in-process offline ``refit_all`` + one atomic flip of the
+    compiled :class:`~repro.learning.flat.FlatForest` pointer + a
+    registry generation bump + a crash-safe state save.
 
 The flip is a single attribute assignment of a fully-built immutable
 forest, so a prediction in flight reads either the old generation or the
@@ -84,7 +83,6 @@ class Tenant:
         artifact_cache: JITArtifactCache | None = None,
         predict_cache: ResultCache | None = None,
         refit_interval: int | None = 25,
-        refit_jobs: int = 1,
         probation_window: int | None = 8,
         probation_margin: float = 0.15,
         max_rollbacks: int = 2,
@@ -113,7 +111,6 @@ class Tenant:
             jit=jit,
             cache_translations=True,
             defer_refits=True,
-            refit_jobs=refit_jobs,
             **vm_kwargs,
         )
         restored = registry.load_into(self.vm)
@@ -174,41 +171,23 @@ class Tenant:
         return payload
 
     def predict(self, cmdline: str) -> dict:
-        """Strategy prediction only: one flattened-forest pass
-        (:meth:`~repro.core.model_builder.ModelBuilder.predict_all`), no
-        execution, no training. Memoized in the shared result cache."""
-        self.predicts_total += 1
-        cached = self._predict_cached(cmdline)
-        if cached is not None:
-            self.predict_cache_hits += 1
-            return self._predict_response(cached)
-        if self.vm.translator is None:
-            levels = {}  # no XICL spec: nothing to featurize or predict
-        else:
-            tokens = self.app.split_cmdline(cmdline)
-            fvector = self.vm.translator.build_fvector(tokens)
-            levels = {
-                method: int(label)
-                for method, label in self.vm.models.predict_all(
-                    fvector
-                ).items()
-            }
-            self._predict_store(cmdline, levels)
-        return self._predict_response(levels)
+        """Strategy prediction only: no execution, no training. A batch
+        of one through :meth:`predict_batch`, the tenant's only predict
+        path."""
+        return self.predict_batch([cmdline])[0]
 
     def predict_batch(self, cmdlines: list[str]) -> list[dict]:
         """One executor hop, one batched kernel call, for a whole batch.
 
-        Cache hits answer from the shared result cache exactly as
-        :meth:`predict` would; the misses — deduplicated, since a
-        repeated cmdline later in the batch would have hit the entry its
-        first occurrence stored — are featurized and answered by a
-        single
+        Cache hits answer from the shared result cache; the misses —
+        deduplicated, since a repeated cmdline later in the batch would
+        have hit the entry its first occurrence stored — are featurized
+        and answered by a single
         :meth:`~repro.core.model_builder.ModelBuilder.predict_all_batch`
         kernel call. Responses and counters (``predicts_total``,
-        ``predict_cache_hits``) are bit-identical to calling
-        :meth:`predict` per cmdline in order: prediction mutates nothing
-        the later entries of the batch could observe.
+        ``predict_cache_hits``) are bit-identical to answering the
+        cmdlines one at a time in order: prediction mutates nothing the
+        later entries of the batch could observe.
         """
         results: list[dict | None] = [None] * len(cmdlines)
         misses: dict[str, list[int]] = {}
@@ -272,7 +251,7 @@ class Tenant:
             if self._recent_acc
             else None
         )
-        self.vm.models.refit_all(jobs=self.vm.refit_jobs)
+        self.vm.models.refit_all()
         generation = self.registry.note_swap(self.name)
         self._fingerprint = self._model_fingerprint()
         saved = self.registry.save(self.vm)
@@ -400,7 +379,7 @@ class Tenant:
             )
         for method in self.vm.models.method_names:
             self.vm.models.trim_method_history(method, self.vm.drift_window)
-        self.vm.models.refit_all(jobs=self.vm.refit_jobs)
+        self.vm.models.refit_all()
         if self.vm.drift is not None:
             self.vm.drift.reset()
         generation = self.registry.note_swap(self.name)
@@ -481,7 +460,6 @@ def build_fleet(
     jit_cache_dir: str | None = None,
     predict_cache_dir: str | None = None,
     refit_interval: int | None = 25,
-    refit_jobs: int = 1,
     engine: str = "auto",
     prior=None,
     probation_window: int | None = 8,
@@ -517,7 +495,6 @@ def build_fleet(
             artifact_cache=artifact_cache,
             predict_cache=predict_cache,
             refit_interval=refit_interval,
-            refit_jobs=refit_jobs,
             engine=engine,
             prior=prior,
             probation_window=probation_window,

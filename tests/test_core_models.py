@@ -120,26 +120,6 @@ class TestModelBuilder:
         # Six methods share one feature matrix: one presort, five hits.
         assert stats["hits"] >= 5
 
-    def test_parallel_refit_identical_to_serial(self):
-        serial = ModelBuilder()
-        parallel = ModelBuilder()
-        methods = ("alpha", "beta", "gamma")
-        for i in range(14):
-            fv = vec(size=10 if i % 2 else 1000, extra=i % 3)
-            ideal = LevelStrategy(
-                {m: (i + k) % 3 for k, m in enumerate(methods)}
-            )
-            serial.observe_run(fv, ideal)
-            parallel.observe_run(fv, ideal)
-        serial.refit_all(jobs=1)
-        parallel.refit_all(jobs=3)
-        for m in methods:
-            assert (
-                serial.model_for(m).render() == parallel.model_for(m).render()
-            )
-        probe = vec(size=400, extra=1)
-        assert serial.predict(probe).levels == parallel.predict(probe).levels
-
 
 class TestStrategyPredictor:
     def make(self, confident: bool):

@@ -35,33 +35,13 @@ def _square(x):
     return x * x
 
 
-class TestMapParallelChunksize:
+class TestMapParallel:
     ITEMS = list(range(23))
     WANT = [x * x for x in ITEMS]
 
-    def test_default_chunksize_unchanged(self):
+    def test_results_in_item_order(self):
         results, _ = map_parallel(_square, self.ITEMS, jobs=2)
         assert results == self.WANT
-
-    def test_chunked_results_identical_to_unchunked(self):
-        # Any chunksize returns the identical result list — only the
-        # pool transport granularity changes.
-        for chunksize in (1, 3, 7, 100):
-            results, _ = map_parallel(
-                _square, self.ITEMS, jobs=2, chunksize=chunksize
-            )
-            assert results == self.WANT, chunksize
-
-    def test_chunksize_inline_path(self):
-        results, parallel = map_parallel(
-            _square, self.ITEMS, jobs=1, chunksize=4
-        )
-        assert results == self.WANT
-        assert parallel is False
-
-    def test_chunksize_validated(self):
-        with pytest.raises(ValueError):
-            map_parallel(_square, self.ITEMS, jobs=2, chunksize=0)
 
 
 @pytest.fixture(scope="module")
@@ -88,20 +68,6 @@ class TestParallelMatchesSerial:
             get_benchmark("Search"), seed=SEED, runs=RUNS, jobs=3
         )
         assert par.sequence == serial.sequence
-        for scenario in ("default", "rep", "evolve"):
-            assert_outcomes_identical(
-                getattr(serial, scenario), getattr(par, scenario), scenario
-            )
-
-    def test_benchmark_grain_bitwise_identical(self, serial):
-        report = run_sweep(
-            [get_benchmark("Search")],
-            jobs=2,
-            seed=SEED,
-            runs=RUNS,
-            grain="benchmark",
-        )
-        par = report.results[0]
         for scenario in ("default", "rep", "evolve"):
             assert_outcomes_identical(
                 getattr(serial, scenario), getattr(par, scenario), scenario
@@ -150,13 +116,6 @@ class TestCellPlanning:
         )
         ranges = [(c.start, c.stop) for c in cells]
         assert ranges == [(0, 4), (4, 8), (8, 10)]
-
-    def test_benchmark_grain_is_one_cell(self):
-        cells = plan_cells(
-            get_benchmark("Search"), seed=SEED, runs=10, grain="benchmark"
-        )
-        assert len(cells) == 1
-        assert cells[0].scenarios == ("default", "rep", "evolve")
 
     def test_cache_key_independent_of_jobs(self):
         # Chunk boundaries are fixed, so keys are too — changing --jobs

@@ -243,17 +243,22 @@ class TestPipeline:
         assert prior.rows_trained == stats.rows
 
     def test_jobs_invariance_byte_identical(self, tmp_path):
-        serial_dir = tmp_path / "serial"
-        parallel_dir = tmp_path / "parallel"
-        run_forge(
-            serial_dir, programs=8, inputs_per_program=2, seed=9,
-            jobs=1, train=False,
-        )
-        run_forge(
-            parallel_dir, programs=8, inputs_per_program=2, seed=9,
-            jobs=2, train=False,
-        )
-        assert _shard_digest(serial_dir) == _shard_digest(parallel_dir)
+        for train in (False, True):
+            serial_dir = tmp_path / f"serial-{train}"
+            parallel_dir = tmp_path / f"parallel-{train}"
+            run_forge(
+                serial_dir, programs=8, inputs_per_program=2, seed=9,
+                jobs=1, train=train,
+            )
+            run_forge(
+                parallel_dir, programs=8, inputs_per_program=2, seed=9,
+                jobs=2, train=train,
+            )
+            assert _shard_digest(serial_dir) == _shard_digest(parallel_dir)
+            if train:
+                assert (serial_dir / "prior.bin").read_bytes() == (
+                    parallel_dir / "prior.bin"
+                ).read_bytes()
 
     def test_shard_rows_bounds_memory(self, tmp_path):
         stats, _ = run_forge(

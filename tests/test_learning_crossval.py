@@ -3,6 +3,8 @@
 import pytest
 
 from repro.learning import (
+    ENGINES,
+    ClassificationTree,
     IncrementalClassifier,
     cross_validated_accuracy,
     kfold_indices,
@@ -144,12 +146,16 @@ class TestIncrementalClassifier:
         assert model.tree is tree_before
 
     def test_engine_knob_validated(self):
-        with pytest.raises(ValueError):
-            IncrementalClassifier(engine="turbo")
+        assert ENGINES == ("auto", "reference")
+        for engine in ("turbo", "fast"):
+            with pytest.raises(ValueError):
+                IncrementalClassifier(engine=engine)
+            with pytest.raises(ValueError):
+                ClassificationTree(engine=engine)
 
     def test_cv_accuracy_engine_equivalence(self):
         ref = IncrementalClassifier(engine="reference")
-        fast = IncrementalClassifier(engine="fast")
+        fast = IncrementalClassifier(engine="auto")
         for i in range(25):
             label = "a" if (i % 7) < 4 else "b"
             ref.observe(vec(x=i % 7, y=i % 3), label)

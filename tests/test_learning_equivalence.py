@@ -89,7 +89,7 @@ def assert_nodes_identical(a, b, path="root"):
 
 def fit_both(dataset, params=DEEP):
     ref = ClassificationTree(params, engine="reference").fit(dataset)
-    fast = ClassificationTree(params, engine="fast").fit(dataset)
+    fast = ClassificationTree(params, engine="auto").fit(dataset)
     return ref, fast
 
 
@@ -225,7 +225,7 @@ def test_fold_subset_fits_identical(seed):
         ref = ClassificationTree(DEEP, engine="reference").fit_indices(
             dataset, indices
         )
-        fast = ClassificationTree(DEEP, engine="fast").fit_indices(
+        fast = ClassificationTree(DEEP, engine="auto").fit_indices(
             dataset, indices, matrix=matrix
         )
         assert_nodes_identical(ref.root, fast.root)
@@ -241,4 +241,4 @@ def test_cross_validation_identical(seed):
     dataset = random_dataset(seed)
     assert cross_validated_accuracy(
         dataset, DEEP, engine="reference"
-    ) == cross_validated_accuracy(dataset, DEEP, engine="fast")
+    ) == cross_validated_accuracy(dataset, DEEP, engine="auto")

@@ -254,6 +254,11 @@ def test_protocol_digest_reference_vs_auto(name):
     )
     auto = run_experiment(get_benchmark(name), seed=5, runs=6, engine="auto")
     assert _experiment_digest(auto) == _experiment_digest(reference)
+    # The parallel engine (--jobs N) must match the serial one too.
+    fanned = run_experiment(
+        get_benchmark(name), seed=5, runs=6, engine="auto", jobs=2
+    )
+    assert _experiment_digest(fanned) == _experiment_digest(reference)
 
 
 def test_deep_compiled_runs_in_two_threads_never_bail():

@@ -284,6 +284,33 @@ class TestPredictCacheFingerprinting:
         assert answer["levels"] == warmed["levels"]
 
 
+class TestTenantPredictBatch:
+    def test_batch_matches_per_cmdline_predict(self, toy_app, tmp_path):
+        # Repeated cmdlines in one batch count as cache hits exactly as a
+        # per-cmdline replay would (its first occurrence stored the entry).
+        batch = [TRAIN[0], TRAIN[1], TRAIN[0], TRAIN[2], TRAIN[1], TRAIN[0]]
+        for cached in (False, True):
+            twins = []
+            for side in ("batch", "rows"):
+                cache = (
+                    ResultCache(tmp_path / f"cache-{cached}-{side}")
+                    if cached
+                    else None
+                )
+                tenant = Tenant(toy_app, registry=ModelRegistry(None),
+                                predict_cache=cache, refit_interval=None)
+                for i, cmd in enumerate(TRAIN):
+                    tenant.run(cmd, seed=i)
+                tenant.swap()
+                twins.append(tenant)
+            batched, rows = twins
+            responses = batched.predict_batch(batch)
+            assert responses == [rows.predict(cmd) for cmd in batch]
+            assert batched.predicts_total == rows.predicts_total == len(batch)
+            assert batched.predict_cache_hits == rows.predict_cache_hits
+            assert rows.predict_cache_hits == (3 if cached else 0)
+
+
 class TestTcpTransport:
     def test_json_lines_round_trip(self, toy_app, tmp_path):
         async def scenario():
